@@ -16,10 +16,11 @@ from fractions import Fraction
 from .complexes import Presentation, Word, free_reduce
 from .errors import PermstabError
 from .perms import (
+    ERROR,
     ErrPerm,
     SignedPerm,
     commute_with_sign_flip,
-    compose,
+    compose,  # noqa: F401  kept as actions.compose, which perfbench's tracer wraps
     fix_fixed_point_free,
     fix_to_involution,
     hamming,
@@ -56,17 +57,51 @@ class AlmostAction:
         return self.presentation.generators
 
 
-def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
-    """Compose images right-to-left; the empty word is the identity."""
-    result = ErrPerm.identity(action.space)
+def _letter_maps(action: AlmostAction, word: Word) -> list[dict[int, int]]:
+    """Point maps of the word's letters, left to right; inverse letters read inverted."""
+    maps = []
     for sym, exp in word:
-        if sym not in action.images:
+        perm = action.images.get(sym)
+        if perm is None:
             raise PermstabError(f"unknown generator {sym!r}")
-        perm = action.images[sym]
-        if exp < 0:
-            perm = perm.inverse()
-        result = compose(result, perm)
-    return result
+        maps.append(perm._inverse_map if exp < 0 else perm._map)
+    return maps
+
+
+def _apply_maps(maps: list[dict[int, int]], space: int, x: int) -> int:
+    for point_map in reversed(maps):
+        x = point_map.get(x, ERROR)
+        if x == ERROR:
+            return ERROR
+    return x if 0 <= x < space else ERROR
+
+
+def apply_word(action: AlmostAction, word: Word, x: int) -> int:
+    """The word's image of one point: ``evaluate_word(action, word).apply(x)``.
+
+    Letters act right to left, ``ERROR`` absorbs, and a result outside
+    ``range(action.space)`` is ``ERROR``, as under the identity the
+    evaluation starts from.
+    """
+    return _apply_maps(_letter_maps(action, word), action.space, x)
+
+
+def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
+    """Compose images right-to-left; the empty word is the identity.
+
+    The composite's domain is the part of the rightmost letter's domain
+    that the whole word maps into ``range(action.space)``.
+    """
+    maps = _letter_maps(action, word)
+    if not maps:
+        return ErrPerm.identity(action.space)
+    dom, img = [], []
+    for x in sorted(maps[-1]):
+        y = _apply_maps(maps, action.space, x)
+        if y != ERROR:
+            dom.append(x)
+            img.append(y)
+    return ErrPerm(action.space, tuple(dom), tuple(img))
 
 
 def defect(action: AlmostAction) -> Fraction:

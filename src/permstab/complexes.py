@@ -8,6 +8,7 @@ safe to share across workers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -76,12 +77,12 @@ class SimplicialComplex:
         return cls.from_cells(faces)
 
     def _check_pure(self) -> bool:
-        top = set(self.faces_by_dim[-1])
-        for k in range(self.dim):
-            for cell in self.faces_by_dim[k]:
-                cset = set(cell)
-                if not any(cset <= set(t) for t in top):
-                    return False
+        """Every cell is a face of a top cell: walk the covered faces down."""
+        covered = set(self.faces_by_dim[-1])
+        for k in range(self.dim - 1, -1, -1):
+            covered = {face for c in covered for face in combinations(c, k + 1)}
+            if not covered.issuperset(self.faces_by_dim[k]):
+                return False
         return True
 
     # -- basic queries -------------------------------------------------
@@ -227,9 +228,9 @@ def spanning_tree(x: SimplicialComplex, root: int) -> RootedTree:
         raise PermstabError(f"root {root} is not a vertex")
     parent = {root: root}
     edges = set()
-    queue = [root]
+    queue = deque([root])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for u in x.neighbors(v):
             if u not in parent:
                 parent[u] = v
@@ -268,14 +269,6 @@ class Presentation:
     @property
     def max_relation_length(self) -> int:
         return max((len(w) for w in self.relations), default=0)
-
-    def inverse_of(self, g: str) -> str | None:
-        for a, b in self.inverse_pairs:
-            if a == g:
-                return b
-            if b == g:
-                return a
-        return None
 
     def with_extra_relations(self, extra) -> "Presentation":
         known = set(self.relations)

@@ -11,14 +11,15 @@ experiment and insists on the proved inequality; a violation raises
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import (
     AlmostAction,
     action_distance,
+    apply_word,
     defect,
-    evaluate_word,
     induced_quotient_action,
     is_sign_commuting,
 )
@@ -103,10 +104,15 @@ def _verify_cover(cov: Covering) -> None:
         for cell in x.cells(k):
             for v in cell:
                 star_of.setdefault(v, [set() for _ in range(x.dim + 1)])[k].add(cell)
+    incident_of = {vid: [[] for _ in range(y.dim + 1)] for vid in cov.vertex_pair}
+    for k in range(y.dim + 1):
+        for cell in y.cells(k):
+            for vid in cell:
+                if vid in incident_of:
+                    incident_of[vid][k].append(cell)
     for vid, (v, _) in cov.vertex_pair.items():
         for k in range(y.dim + 1):
-            incident = [c for c in y.cells(k) if vid in c]
-            projected = [cov.project_cell(c) for c in incident]
+            projected = [cov.project_cell(c) for c in incident_of[vid][k]]
             if len(set(projected)) != len(projected) or set(projected) != star_of[v][k]:
                 raise PermstabError("projection is not a bijection on a vertex star")
 
@@ -192,7 +198,7 @@ def first_type_triangle_check(
             (edge_gen(zz, xx), 1),
         )
         target = 2 * sx + phi(cov.project_cell(cell))
-        if evaluate_word(psi, word).apply(2 * sx) != target:
+        if apply_word(psi, word, 2 * sx) != target:
             continue
         checked += 1
         if phi_prime(cell) != dz(cell):
@@ -207,9 +213,9 @@ def connected_components(x: SimplicialComplex) -> list[frozenset[int]]:
         if v in seen:
             continue
         comp = {v}
-        queue = [v]
+        queue = deque([v])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in x.neighbors(u):
                 if w not in comp:
                     comp.add(w)
@@ -278,7 +284,7 @@ def contradiction_experiment(
                 (edge_gen(yy, zz), 1),
                 (edge_gen(zz, xx), 1),
             )
-            ok = evaluate_word(psi, word).apply(2 * sx) == 2 * sx + phi(cov.project_cell(cell))
+            ok = apply_word(psi, word, 2 * sx) == 2 * sx + phi(cov.project_cell(cell))
         if not ok:
             event2_num += nums[j]
     event1 = Fraction(event1_num, den)
@@ -398,9 +404,9 @@ def cover_tree(cov: Covering, tree: RootedTree, v0: int) -> RootedTree:
         raise PermstabError("v0 does not lift the root")
     y = cov.total
     comp = {v0}
-    queue = [v0]
+    queue = deque([v0])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in y.neighbors(u):
             if w not in comp:
                 comp.add(w)
@@ -423,9 +429,9 @@ def cover_tree(cov: Covering, tree: RootedTree, v0: int) -> RootedTree:
         adj[a].append(b)
         adj[b].append(a)
     parent = {v0: v0}
-    queue = [v0]
+    queue = deque([v0])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in sorted(adj[u]):
             if w not in parent:
                 parent[w] = u

@@ -13,6 +13,7 @@ import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .actions import AlmostAction, action_distance, normalize_sofic_approx
 from .cohomology import F2Cochain, coboundary, zero_cochain
@@ -27,7 +28,7 @@ from .complexes import (
 from .covers import ExperimentReport, contradiction_experiment, extension_from_cocycle
 from .errors import PermstabError
 from .fileio import format_fraction
-from .perms import ErrPerm, SignedPerm, compose, signed_encode
+from .perms import ErrPerm, SignedPerm, compose, hamming, signed_encode
 from .rng import SplitMix64
 
 
@@ -74,8 +75,6 @@ def noise_injector(
             done.add(partner[g])
     out = AlmostAction(action.presentation, action.space, images)
     for g in action.generators:
-        from .perms import hamming
-
         realized[g] = hamming(out.image(g), action.image(g))
     return out, realized
 
@@ -123,8 +122,6 @@ def signed_noise_injector(
             images[partner[g]] = noised.inverse()
             done.add(partner[g])
     out = AlmostAction(action.presentation, action.space, images)
-    from .perms import hamming
-
     realized = {g: hamming(out.image(g), action.image(g)) for g in action.generators}
     return out, realized
 
@@ -189,18 +186,12 @@ def integer_cocycle_basis(x: SimplicialComplex, tree: RootedTree) -> list[dict]:
             vec[pcol] = -sum(prow[i] * vec[i] for i in range(len(free)) if i != pcol)
         denom = 1
         for v in vec:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+            denom = denom * v.denominator // gcd(denom, v.denominator)
         entry = {e: 0 for e in x.cells(1)}
         for e, i in col.items():
             entry[e] = int(vec[i] * denom)
         basis.append(entry)
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exact_action_from_int_cocycle(

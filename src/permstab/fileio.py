@@ -263,7 +263,3 @@ def dump_cover(cov: Covering) -> str:
 
 def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)

@@ -41,6 +41,10 @@ class ErrPerm:
     def _map(self) -> dict[int, int]:
         return dict(zip(self.domain, self.images))
 
+    @cached_property
+    def _inverse_map(self) -> dict[int, int]:
+        return dict(zip(self.images, self.domain))
+
     def apply(self, x: int) -> int:
         return self._map.get(x, ERROR)
 
@@ -129,14 +133,14 @@ def hamming(a: ErrPerm, b: ErrPerm) -> Fraction:
     Requires one domain to contain the other; normalizes by the larger
     underlying set.
     """
-    da, db = set(a.domain), set(b.domain)
-    if da <= db:
+    ma, mb = a._map, b._map
+    if ma.keys() <= mb.keys():
         small = a.domain
-    elif db <= da:
+    elif mb.keys() <= ma.keys():
         small = b.domain
     else:
         raise PermstabError("incomparable domains: neither contains the other")
-    agree = sum(1 for x in small if a.apply(x) == b.apply(x))
+    agree = sum(1 for x in small if ma[x] == mb[x])
     denom = max(a.size, b.size)
     if denom == 0:
         return Fraction(0)
@@ -185,10 +189,6 @@ def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
 def signed_encode(sign: int, x: int) -> int:
     """+x -> 2x, -x -> 2x+1; ``sign`` is +1 or -1."""
     return 2 * x + (1 if sign < 0 else 0)
-
-
-def signed_decode(p: int) -> tuple[int, int]:
-    return (-1 if p & 1 else 1, p >> 1)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ Indices can be removed but never re-added.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .complexes import SimplicialComplex, link
 from .errors import PermstabError
@@ -280,7 +282,7 @@ def eta_minimality_check(
 
     space = 1
     for _ in verts:
-        space *= _factorial(f.n)
+        space *= factorial(f.n)
         if space > budget:
             break
     tried = 0
@@ -327,13 +329,6 @@ def eta_minimality_check(
                         if best > 0:
                             return MinimalityVerdict(True, h, False, tried)
     return MinimalityVerdict(False, None, False, tried)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def localize(f: SymCochain, s) -> SymCochain:
@@ -613,10 +608,6 @@ class Cycle:
     def length(self) -> int:
         return len(self.verts) - 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.verts) == 1
-
     @staticmethod
     def trivial(x: SimplicialComplex, v: int) -> "Cycle":
         if not x.has_cell((v,)):
@@ -733,10 +724,10 @@ def is_contractible(
     start = cycle.verts
     parents: dict[tuple, tuple | None] = {start: None}
     moves: dict[tuple, tuple] = {}
-    queue = [start]
+    queue = deque([start])
     explored = 0
     while queue and explored < max_steps:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         explored += 1
         if cur == target:
             seq = []
@@ -791,9 +782,9 @@ def good_function_check(
     for base in sorted(x.vertices):
         start = (base,)
         seen = {start}
-        queue = [start]
+        queue = deque([start])
         while queue and budget_left > 0:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             budget_left -= 1
             enumerated += 1
             dom = cycle_domain(f, Cycle(x, cur))

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab.complexes import (
     SimplicialComplex,
@@ -99,6 +100,44 @@ def test_weight_rejects_non_cell_and_non_pure():
     if not nonpure.is_pure:
         with pytest.raises(PermstabError):
             nonpure.weight_numerators(1)
+
+
+def quadratic_is_pure(x):
+    """The purity scan ``is_pure`` replaced: every cell against every top cell."""
+    top = set(x.faces_by_dim[-1])
+    return all(
+        any(set(cell) <= set(t) for t in top)
+        for k in range(x.dim)
+        for cell in x.faces_by_dim[k]
+    )
+
+
+cell_families = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_families)
+def test_is_pure_matches_quadratic_scan(cells):
+    x = SimplicialComplex.from_cells(cells)
+    assert x.is_pure == quadratic_is_pure(x)
+
+
+def test_is_pure_matches_quadratic_scan_seeded():
+    rng = SplitMix64(7)
+    seen = set()
+    for _ in range(300):
+        size = 1 + rng.below(4)
+        cells = [
+            [rng.below(7) for _ in range(1 + rng.below(size))] for _ in range(1 + rng.below(8))
+        ]
+        if rng.below(2):  # equal-size top faces: pure by construction
+            cells = [c for c in cells if len(set(c)) == len(set(cells[0]))]
+        x = SimplicialComplex.from_cells(cells)
+        assert x.is_pure == quadratic_is_pure(x)
+        seen.add(x.is_pure)
+    assert seen == {True, False}
 
 
 # -- links -----------------------------------------------------------------

@@ -25,6 +25,8 @@ from permstab.complexes import (
     spanning_tree,
 )
 from permstab.covers import (
+    Covering,
+    _verify_cover,
     adjust_section,
     build_cover,
     connected_components,
@@ -367,3 +369,29 @@ def test_double_cover_of_projective_plane():
     phi = cochain_from_support(x, 2, [x.cells(2)[0]])
     lifted = pull_back_cocycle(phi, cov)
     assert weighted_norm(lifted) == weighted_norm(phi)
+
+
+def hand_built_triangle_cover(cells):
+    """Covering of the triangle (0,1,2) with m=2; vertex (v, a|b) has id 2v+0|1."""
+    base = full_triangle()
+    pair = {2 * v + s: (v, s) for v in range(3) for s in range(2)}
+    total = SimplicialComplex.from_cells(cells)
+    return Covering(base, total, 2, None, pair, {p: vid for vid, p in pair.items()})
+
+
+def test_verify_cover_rejects_star_that_projects_twice():
+    # (0a,1a,2a), (0b,1a,2b) and the isolated vertex 1b: every dimension count
+    # matches, but the star of 1a covers the edge 01 twice
+    cov = hand_built_triangle_cover([(0, 2, 4), (1, 2, 5), (3,)])
+    for k in range(3):
+        assert cov.total.n_cells(k) == 2 * cov.base.n_cells(k)
+    with pytest.raises(PermstabError, match="projection is not a bijection on a vertex star"):
+        _verify_cover(cov)
+
+
+def test_verify_cover_rejects_count_mismatch():
+    cov = hand_built_triangle_cover([(0, 2, 4), (1,), (3,), (5,)])
+    with pytest.raises(PermstabError, match="fiberwise lift failed in dimension 1"):
+        _verify_cover(cov)
+    good = hand_built_triangle_cover([(0, 2, 4), (1, 3, 5)])
+    _verify_cover(good)
