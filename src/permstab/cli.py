@@ -17,7 +17,7 @@ from .complexes import SimplicialComplex, face_weight, spanning_tree, fundamenta
 from .covers import build_cover, contradiction_experiment, extension_from_cocycle
 from .errors import BoundViolation, PermstabError
 from .experiments import ExperimentConfig, run_pipeline, rows_to_csv, sweep
-from .fileio import format_fraction
+from .fileio import csv_text, format_decimal, format_fraction
 from .symcochains import global_deletion, good_function_check, single_edge_correction, sym_delta_weight
 
 
@@ -30,21 +30,6 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _dec(q: Fraction) -> str:
-    return format(float(q), ".12g")
-
-
-def _csv(rows, header) -> str:
-    import csv as _csvmod
-    import io
-
-    buf = io.StringIO()
-    w = _csvmod.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 # -- complex ---------------------------------------------------------------
@@ -66,7 +51,7 @@ def cmd_complex_weights(args) -> int:
     for cell, num in zip(x.cells(args.k), nums):
         q = Fraction(num, den)
         rows.append(["-".join(map(str, cell)), q.numerator, q.denominator])
-    _write(args.csv, _csv(rows, ["face", "weight_num", "weight_den"]))
+    _write(args.csv, csv_text(["face", "weight_num", "weight_den"], rows))
     return 0
 
 
@@ -80,7 +65,7 @@ def cmd_cohomology_dims(args) -> int:
         zk = cohomology.cocycle_space(x, k)
         bk = cohomology.coboundary_space(x, k)
         rows.append([k, x.n_cells(k), zk.dim, bk.dim, zk.dim - bk.dim])
-    _write(args.csv, _csv(rows, ["k", "cells", "dim_Z", "dim_B", "dim_H"]))
+    _write(args.csv, csv_text(["k", "cells", "dim_Z", "dim_B", "dim_H"], rows))
     return 0
 
 
@@ -95,12 +80,12 @@ def cmd_cohomology_expansion(args) -> int:
             rows.append([k, "inf", "inf"])
         else:
             values.append(val)
-            rows.append([k, format_fraction(val), _dec(val)])
+            rows.append([k, format_fraction(val), format_decimal(val)])
     if args.k is None:
         overall = min(values) if values else None
         rows.append(["min", "inf" if overall is None else format_fraction(overall),
-                     "inf" if overall is None else _dec(overall)])
-    _write(args.csv, _csv(rows, ["k", "value", "value_dec"]))
+                     "inf" if overall is None else format_decimal(overall)])
+    _write(args.csv, csv_text(["k", "value", "value_dec"], rows))
     return 0
 
 
@@ -110,8 +95,8 @@ def cmd_cohomology_cosystole(args) -> int:
     if val is None:
         rows = [[args.k, "coboundary-only", ""]]
     else:
-        rows = [[args.k, format_fraction(val), _dec(val)]]
-    _write(args.csv, _csv(rows, ["k", "value", "value_dec"]))
+        rows = [[args.k, format_fraction(val), format_decimal(val)]]
+    _write(args.csv, csv_text(["k", "value", "value_dec"], rows))
     return 0
 
 
@@ -122,7 +107,7 @@ def cmd_action_defect(args) -> int:
     pres = fileio.load_presentation(_read(args.presentation))
     action = fileio.load_action(_read(args.action), pres)
     d = defect(action)
-    print(f"defect {format_fraction(d)} ({_dec(d)})")
+    print(f"defect {format_fraction(d)} ({format_decimal(d)})")
     return 0
 
 
@@ -134,16 +119,16 @@ def cmd_action_repair(args) -> int:
         _write(args.out, fileio.dump_action(repaired))
     rows = [
         ["ell", report.ell, ""],
-        ["eps", format_fraction(report.eps), _dec(report.eps)],
-        ["eps_prime", format_fraction(report.eps_prime), _dec(report.eps_prime)],
-        ["stage1_distance", format_fraction(report.stage1_distance), _dec(report.stage1_distance)],
-        ["stage2_distance", format_fraction(report.stage2_distance), _dec(report.stage2_distance)],
-        ["stage3_distance", format_fraction(report.stage3_distance), _dec(report.stage3_distance)],
-        ["defect_out", format_fraction(report.defect_out), _dec(report.defect_out)],
-        ["bound", format_fraction(report.bound), _dec(report.bound)],
+        ["eps", format_fraction(report.eps), format_decimal(report.eps)],
+        ["eps_prime", format_fraction(report.eps_prime), format_decimal(report.eps_prime)],
+        ["stage1_distance", format_fraction(report.stage1_distance), format_decimal(report.stage1_distance)],
+        ["stage2_distance", format_fraction(report.stage2_distance), format_decimal(report.stage2_distance)],
+        ["stage3_distance", format_fraction(report.stage3_distance), format_decimal(report.stage3_distance)],
+        ["defect_out", format_fraction(report.defect_out), format_decimal(report.defect_out)],
+        ["bound", format_fraction(report.bound), format_decimal(report.bound)],
         ["holds", "true" if report.holds else "false", ""],
     ]
-    _write(args.report, _csv(rows, ["quantity", "value", "value_dec"]))
+    _write(args.report, csv_text(["quantity", "value", "value_dec"], rows))
     if not report.holds:
         raise BoundViolation("stage report bound failed")
     return 0
@@ -155,8 +140,8 @@ def cmd_action_separation(args) -> int:
     rows = []
     for word, dist in separation_report(action, args.length):
         text = ".".join(g if e > 0 else f"{g}^-1" for g, e in word)
-        rows.append([text, format_fraction(dist), _dec(dist)])
-    _write(args.csv, _csv(rows, ["word", "distance", "distance_dec"]))
+        rows.append([text, format_fraction(dist), format_decimal(dist)])
+    _write(args.csv, csv_text(["word", "distance", "distance_dec"], rows))
     return 0
 
 
@@ -192,7 +177,7 @@ def cmd_cover_experiment(args) -> int:
         report.best_component,
         "true" if report.holds else "false",
     ]]
-    _write(args.csv, _csv(rows, ["epsilon", "rho", "event1", "event2", "dw", "bound", "component", "holds"]))
+    _write(args.csv, csv_text(["epsilon", "rho", "event1", "event2", "dw", "bound", "component", "holds"], rows))
     return 0
 
 
@@ -206,10 +191,10 @@ def cmd_sym_delta(args) -> int:
         raise PermstabError("the cochain was saved over a different complex")
     plain, robust = sym_delta_weight(f, strict=args.strict)
     rows = [
-        ["plain", format_fraction(plain), _dec(plain)],
-        ["robust", format_fraction(robust), _dec(robust)],
+        ["plain", format_fraction(plain), format_decimal(plain)],
+        ["robust", format_fraction(robust), format_decimal(robust)],
     ]
-    _write(args.csv, _csv(rows, ["statistic", "value", "value_dec"]))
+    _write(args.csv, csv_text(["statistic", "value", "value_dec"], rows))
     return 0
 
 
@@ -227,11 +212,11 @@ def cmd_sym_delete(args) -> int:
     rows = [
         ["deleted", len(report.deleted), ""],
         ["violating_pairs", report.violating_pairs, ""],
-        ["eps_hat", format_fraction(report.eps_hat), _dec(report.eps_hat)],
+        ["eps_hat", format_fraction(report.eps_hat), format_decimal(report.eps_hat)],
         ["count_bound", report.count_bound, ""],
         ["holds", "true" if report.holds else "false", ""],
     ]
-    _write(args.report, _csv(rows, ["quantity", "value", "value_dec"]))
+    _write(args.report, csv_text(["quantity", "value", "value_dec"], rows))
     return 0
 
 
@@ -276,7 +261,6 @@ def cmd_experiment_sweep(args) -> int:
         fiber=args.fiber,
         extra=args.extra,
         cocycle_mode=args.mode,
-        threads=args.threads,
     )
     _write(args.csv, rows_to_csv(rows))
     return 0
@@ -288,7 +272,6 @@ def cmd_experiment_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="permstab")
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers for sweeps")
     parser.add_argument("--csv", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -126,18 +126,16 @@ class SimplicialComplex:
         return self._adj.get(v, ())
 
     def facets(self) -> list[Cell]:
-        """Maximal cells, used by the text file format."""
+        """Maximal cells, used by the text file format.
+
+        The complex is downward closed, so a cell is maximal exactly when it
+        is not a face of any cell one dimension up.
+        """
         out: list[Cell] = []
-        all_cells = [c for cells in self.faces_by_dim for c in cells]
-        cell_set = set(all_cells)
-        vmax = self.vertex_count
-        for c in all_cells:
-            cset = set(c)
-            if any(
-                tuple(sorted(cset | {v})) in cell_set for v in range(vmax) if v not in cset
-            ):
-                continue
-            out.append(c)
+        for k, cells in enumerate(self.faces_by_dim):
+            above = self.faces_by_dim[k + 1] if k < self.dim else ()
+            covered = {face for c in above for face in combinations(c, k + 1)}
+            out.extend(c for c in cells if c not in covered)
         return sorted(out, key=lambda c: (len(c), c))
 
     # -- weights -------------------------------------------------------
@@ -286,13 +284,10 @@ def free_reduce(word: Word) -> Word:
     return tuple(out)
 
 
-def fundamental_group_presentation(x: SimplicialComplex, tree: RootedTree) -> Presentation:
-    """Edge-generator presentation of the fundamental group of the tree's component.
+def _edge_presentation(x: SimplicialComplex, tree: RootedTree, twist):
+    """Generators, inverse pairs and relations of the edge presentation.
 
-    Oriented edges are the generators.  Relations: both orientations of each
-    tree edge as length-1 words, one backtracking word per unoriented edge,
-    and two oriented words per triangle (one for each cyclic orientation,
-    using the increasing vertex order as the base orientation).
+    ``twist(cell)`` is a word appended to both oriented words of a triangle.
     """
     comp = tree.component
     gens: list[str] = []
@@ -308,10 +303,24 @@ def fundamental_group_presentation(x: SimplicialComplex, tree: RootedTree) -> Pr
         relations.append(((edge_gen(b, a), 1),))
     for (a, b) in edges:
         relations.append(((edge_gen(a, b), 1), (edge_gen(b, a), 1)))
-    for (a, b, c) in x.cells(2):
+    for cell in x.cells(2):
+        a, b, c = cell
         if a in comp and b in comp and c in comp:
-            relations.append(((edge_gen(a, b), 1), (edge_gen(b, c), 1), (edge_gen(c, a), 1)))
-            relations.append(((edge_gen(a, c), 1), (edge_gen(c, b), 1), (edge_gen(b, a), 1)))
+            tail = twist(cell)
+            relations.append(((edge_gen(a, b), 1), (edge_gen(b, c), 1), (edge_gen(c, a), 1)) + tail)
+            relations.append(((edge_gen(a, c), 1), (edge_gen(c, b), 1), (edge_gen(b, a), 1)) + tail)
+    return gens, pairs, relations
+
+
+def fundamental_group_presentation(x: SimplicialComplex, tree: RootedTree) -> Presentation:
+    """Edge-generator presentation of the fundamental group of the tree's component.
+
+    Oriented edges are the generators.  Relations: both orientations of each
+    tree edge as length-1 words, one backtracking word per unoriented edge,
+    and two oriented words per triangle (one for each cyclic orientation,
+    using the increasing vertex order as the base orientation).
+    """
+    gens, pairs, relations = _edge_presentation(x, tree, lambda cell: ())
     return Presentation(tuple(gens), tuple(relations), tuple(pairs))
 
 

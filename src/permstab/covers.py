@@ -29,6 +29,7 @@ from .complexes import (
     RootedTree,
     SimplicialComplex,
     Word,
+    _edge_presentation,
     edge_gen,
 )
 from .errors import BoundViolation, PermstabError
@@ -338,34 +339,12 @@ def extension_from_cocycle(
         raise PermstabError("not a cocycle")
     if phi.complex is not x:
         raise PermstabError("cochain does not live on this complex")
-    comp = tree.component
-    gens: list[str] = []
-    pairs: list[tuple[str, str]] = []
-    edges = [e for e in x.cells(1) if e[0] in comp and e[1] in comp]
-    for (a, b) in edges:
-        gens.append(edge_gen(a, b))
-        gens.append(edge_gen(b, a))
-        pairs.append((edge_gen(a, b), edge_gen(b, a)))
-    gens.append(tau)
+    gens, pairs, edge_relations = _edge_presentation(
+        x, tree, lambda cell: ((tau, 1),) if phi(cell) else ()
+    )
     relations: list[Word] = [((tau, 1), (tau, 1))]
-    for g in gens[:-1]:
-        relations.append(((tau, 1), (g, 1), (tau, -1), (g, -1)))
-    for (a, b) in sorted(tree.tree_edges):
-        relations.append(((edge_gen(a, b), 1),))
-        relations.append(((edge_gen(b, a), 1),))
-    for (a, b) in edges:
-        relations.append(((edge_gen(a, b), 1), (edge_gen(b, a), 1)))
-    for cell in x.cells(2):
-        a, b, c = cell
-        if a in comp and b in comp and c in comp:
-            twist = ((tau, 1),) if phi(cell) else ()
-            relations.append(
-                ((edge_gen(a, b), 1), (edge_gen(b, c), 1), (edge_gen(c, a), 1)) + twist
-            )
-            relations.append(
-                ((edge_gen(a, c), 1), (edge_gen(c, b), 1), (edge_gen(b, a), 1)) + twist
-            )
-    return Presentation(tuple(gens), tuple(relations), tuple(pairs))
+    relations += [((tau, 1), (g, 1), (tau, -1), (g, -1)) for g in gens]
+    return Presentation(tuple(gens) + (tau,), tuple(relations + edge_relations), tuple(pairs))
 
 
 def adjust_section(phi: F2Cochain, psi1: F2Cochain) -> F2Cochain:

@@ -8,9 +8,6 @@ repaired and pushed through the covering-distance experiment.
 
 from __future__ import annotations
 
-import csv
-import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,7 +24,7 @@ from .complexes import (
 )
 from .covers import ExperimentReport, contradiction_experiment, extension_from_cocycle
 from .errors import PermstabError
-from .fileio import format_fraction
+from .fileio import csv_text, format_decimal, format_fraction
 from .perms import ErrPerm, SignedPerm, compose, hamming, signed_encode
 from .rng import SplitMix64
 
@@ -356,36 +353,31 @@ CSV_COLUMNS = [
 ]
 
 
-def _dec(q: Fraction) -> str:
-    return format(float(q), ".12g")
-
-
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
+    return csv_text(
+        CSV_COLUMNS,
+        (
             [
                 format_fraction(row.config.epsilon),
                 row.config.seed,
                 format_fraction(row.eps),
-                _dec(row.eps),
+                format_decimal(row.eps),
                 format_fraction(row.rho),
-                _dec(row.rho),
+                format_decimal(row.rho),
                 format_fraction(row.event1),
-                _dec(row.event1),
+                format_decimal(row.event1),
                 format_fraction(row.event2),
-                _dec(row.event2),
+                format_decimal(row.event2),
                 format_fraction(row.dw),
-                _dec(row.dw),
+                format_decimal(row.dw),
                 format_fraction(row.bound),
-                _dec(row.bound),
+                format_decimal(row.bound),
                 row.component,
                 "true" if row.holds else "false",
             ]
-        )
-    return buf.getvalue()
+            for row in rows
+        ),
+    )
 
 
 def sweep(
@@ -394,7 +386,6 @@ def sweep(
     fiber: int = 6,
     extra: int = 0,
     cocycle_mode: str = "coboundary",
-    threads: int = 1,
 ) -> list[RunRow]:
     """One pipeline run per (epsilon, seed), rows ordered by epsilon then seed."""
     configs = [
@@ -403,9 +394,4 @@ def sweep(
         for s in seeds
     ]
     configs.sort(key=lambda c: (c.epsilon, c.seed))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = [row for row, _ in pool.map(run_pipeline, configs)]
-    else:
-        rows = [run_pipeline(c)[0] for c in configs]
-    return rows
+    return [run_pipeline(c)[0] for c in configs]

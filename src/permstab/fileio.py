@@ -12,12 +12,16 @@ Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 * presentation: ``gen NAME`` lines, ``pair A B`` lines for formal inverse
   pairs, and ``rel w1 w2 ...`` lines where a letter is ``NAME`` or ``NAME^-1``.
 * sym cochain: ``sym degree=i n=N`` header, an inline ``complex`` section,
-  then ``cell v0 v1 ...`` headers each followed by ``idx -> img`` or
-  ``idx -> undef`` lines.
+  then ``cell v0 v1 ...`` headers each followed by exactly one ``idx -> img``
+  or ``idx -> undef`` line for every index in ``range(N)``.
+
+A malformed line or header raises ``FormatError`` with its line number.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 from .actions import AlmostAction
@@ -36,6 +40,22 @@ def _lines(text: str):
             yield lineno, line
 
 
+def _header_int(line: str, lineno: int) -> int:
+    """The integer after a header keyword, as in ``dim d`` or ``size m``."""
+    try:
+        return int(line.split()[1])
+    except ValueError:
+        raise FormatError(f"bad header {line!r}", lineno) from None
+
+
+def _map_line(line: str, lineno: int) -> tuple[int, int]:
+    try:
+        lhs, rhs = line.split("->")
+        return int(lhs), int(rhs)
+    except ValueError:
+        raise FormatError("expected 'i -> j'", lineno) from None
+
+
 def dump_complex(x: SimplicialComplex) -> str:
     out = [f"dim {x.dim}"]
     for face in x.facets():
@@ -47,10 +67,7 @@ def load_complex(text: str) -> SimplicialComplex:
     lines = list(_lines(text))
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim d' header", lines[0][0] if lines else 1)
-    try:
-        dim = int(lines[0][1].split()[1])
-    except (IndexError, ValueError):
-        raise FormatError("bad dimension header", lines[0][0]) from None
+    dim = _header_int(lines[0][1], lines[0][0])
     faces = []
     for lineno, line in lines[1:]:
         try:
@@ -76,7 +93,7 @@ def load_cochain(text: str, x: SimplicialComplex) -> F2Cochain:
     lines = list(_lines(text))
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim k' header", lines[0][0] if lines else 1)
-    k = int(lines[0][1].split()[1])
+    k = _header_int(lines[0][1], lines[0][0])
     cells = []
     for lineno, line in lines[1:]:
         try:
@@ -109,13 +126,9 @@ def load_perm(text: str) -> ErrPerm:
     for lineno, line in _lines(text):
         last = lineno
         if line.startswith("size "):
-            size = int(line.split()[1])
-            continue
-        try:
-            lhs, rhs = line.split("->")
-            pairs.append((int(lhs), int(rhs)))
-        except ValueError:
-            raise FormatError("expected 'i -> j'", lineno) from None
+            size = _header_int(line, lineno)
+        else:
+            pairs.append(_map_line(line, lineno))
     return _parse_perm_lines(pairs, size, last)
 
 
@@ -141,17 +154,13 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
 
     for lineno, line in _lines(text):
         if line.startswith("space "):
-            space = int(line.split()[1])
+            space = _header_int(line, lineno)
         elif line.startswith("generator "):
             flush(lineno)
             current = line.split(None, 1)[1]
             pairs = []
         else:
-            try:
-                lhs, rhs = line.split("->")
-                pairs.append((int(lhs), int(rhs)))
-            except ValueError:
-                raise FormatError("expected 'i -> j'", lineno) from None
+            pairs.append(_map_line(line, lineno))
     flush(0)
     if space is None:
         space = max((p.size for p in images.values()), default=0)
@@ -212,11 +221,14 @@ def load_sym_cochain(text: str) -> SymCochain:
     lines = list(_lines(text))
     if not lines or not lines[0][1].startswith("sym "):
         raise FormatError("expected a 'sym degree=i n=N' header", 1)
-    head = dict(tok.split("=") for tok in lines[0][1].split()[1:])
-    degree, n = int(head["degree"]), int(head["n"])
+    try:
+        head = dict(tok.split("=") for tok in lines[0][1].split()[1:])
+        degree, n = int(head["degree"]), int(head["n"])
+    except (KeyError, ValueError):
+        raise FormatError("expected a 'sym degree=i n=N' header", lines[0][0]) from None
     idx = 1
     if idx >= len(lines) or lines[idx][1] != "complex":
-        raise FormatError("expected an inline complex section", lines[idx][0])
+        raise FormatError("expected an inline complex section", lines[min(idx, len(lines) - 1)][0])
     idx += 1
     complex_lines = []
     while idx < len(lines) and lines[idx][1] != "endcomplex":
@@ -226,28 +238,38 @@ def load_sym_cochain(text: str) -> SymCochain:
     idx += 1
     values = {}
     current = None
-    table: list = []
+    table: dict[int, int | None] = {}
 
     def flush(lineno):
         if current is not None:
             if len(table) != n:
                 raise FormatError(f"cell block needs {n} index lines", lineno)
-            values[current] = PartialInj(n, tuple(table))
+            values[current] = PartialInj(n, tuple(table[i] for i in range(n)))
 
-    while idx < len(lines):
-        lineno, line = lines[idx]
+    for lineno, line in lines[idx:]:
         if line.startswith("cell "):
             flush(lineno)
-            current = tuple(int(t) for t in line.split()[1:])
-            table = [None] * n
-        else:
             try:
-                lhs, rhs = line.split("->")
-                i = int(lhs)
-                table[i] = None if rhs.strip() == "undef" else int(rhs)
-            except (ValueError, IndexError):
-                raise FormatError("expected 'idx -> img|undef'", lineno) from None
-        idx += 1
+                current = tuple(int(t) for t in line.split()[1:])
+            except ValueError:
+                raise FormatError("bad cell line", lineno) from None
+            if current in values:
+                raise FormatError(f"cell {current} given twice", lineno)
+            table = {}
+            continue
+        try:
+            lhs, rhs = line.split("->")
+            i = int(lhs)
+            img = None if rhs.strip() == "undef" else int(rhs)
+        except ValueError:
+            raise FormatError("expected 'idx -> img|undef'", lineno) from None
+        if current is None:
+            raise FormatError("index line before any 'cell' header", lineno)
+        if not 0 <= i < n:
+            raise FormatError(f"index {i} outside range({n})", lineno)
+        if i in table:
+            raise FormatError(f"index {i} given twice", lineno)
+        table[i] = img
     flush(0)
     return SymCochain(x, degree, n, values)
 
@@ -263,3 +285,17 @@ def dump_cover(cov: Covering) -> str:
 
 def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_decimal(q: Fraction) -> str:
+    """Decimal twin of an exact column; never used in a bound check."""
+    return format(float(q), ".12g")
+
+
+def csv_text(header, rows) -> str:
+    """One header line, then one line per row, each ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -2,7 +2,9 @@
 
 These are the fallback twins of the compiled routines in ``_fast``; both
 implementations enumerate in the same order and break ties identically, so
-results are bit-for-bit interchangeable.
+results are bit-for-bit interchangeable.  They are also the oracle: the
+tests and ``perfbench/run.py --workload exact --trace 1`` check kernel calls
+against them.
 """
 
 from __future__ import annotations

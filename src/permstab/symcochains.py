@@ -13,7 +13,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from .complexes import SimplicialComplex, link
@@ -251,6 +251,13 @@ def sym_delta_weight(f: SymCochain, strict: bool = False) -> tuple[Fraction, Fra
     return plain, robust
 
 
+def _assignments(verts, n: int):
+    """Every map from ``verts`` to the permutations of range(n), first vertex fastest."""
+    perms = [PartialInj.from_perm(p) for p in permutations(range(n))]
+    for combo in product(perms, repeat=len(verts)):
+        yield dict(zip(verts, reversed(combo)))
+
+
 @dataclass
 class MinimalityVerdict:
     violated: bool
@@ -287,22 +294,11 @@ def eta_minimality_check(
             break
     tried = 0
     if space <= budget:
-        perms = [PartialInj.from_perm(p) for p in permutations(range(f.n))]
-        idx = [0] * len(verts)
-        while True:
-            h = {v: perms[idx[i]] for i, v in enumerate(verts)}
+        for h in _assignments(verts, f.n):
             tried += 1
             if score(h) > 0:
                 return MinimalityVerdict(True, h, True, tried)
-            pos = 0
-            while pos < len(verts):
-                idx[pos] += 1
-                if idx[pos] < len(perms):
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos == len(verts):
-                return MinimalityVerdict(False, None, True, tried)
+        return MinimalityVerdict(False, None, True, tried)
 
     rng = SplitMix64(seed)
     swaps = [(a, b) for a in range(f.n) for b in range(a + 1, f.n)]
@@ -374,8 +370,7 @@ def single_edge_correction(f: SymCochain, u: int, v: int, eta1) -> SymCochain:
         warnings.warn("edge has an empty link; nothing to vote with")
         return f
 
-    old = f.value_on((u, v))
-    decisions = {}
+    new = f.value_on((u, v))
     for i in range(f.n):
         votes: dict[int, int] = {}
         defined = 0
@@ -389,21 +384,10 @@ def single_edge_correction(f: SymCochain, u: int, v: int, eta1) -> SymCochain:
             continue
         top_j, top_c = min(((j, c) for j, c in votes.items()), key=lambda t: (-t[1], t[0]))
         if Fraction(top_c, defined) >= eta1:
-            decisions[i] = ("set", top_j)
+            new = new.set_index(i, top_j)  # evicts whoever holds the winning slot
         elif all(Fraction(c, defined) < 1 - eta1 for c in votes.values()):
-            decisions[i] = ("drop", None)
-
-    new = list(old.images)
-    for i in sorted(decisions):
-        kind, target = decisions[i]
-        if kind == "drop":
-            new[i] = None
-        else:
-            for j, t in enumerate(new):  # a vote winner evicts whoever holds its slot
-                if t == target and j != i:
-                    new[j] = None
-            new[i] = target
-    return _edge_value_from_orientation(f, u, v, PartialInj(f.n, tuple(new)))
+            new = new.drop_source(i)
+    return _edge_value_from_orientation(f, u, v, new)
 
 
 def _edge_value_from_orientation(f: SymCochain, u: int, v: int, value: PartialInj) -> SymCochain:
@@ -462,25 +446,7 @@ def vertex_link_correction(
         )
 
     if len(link_verts) <= 3 and f.n <= 4:
-        best_g = None
-        best_obj = None
-        perms = [PartialInj.from_perm(p) for p in permutations(range(f.n))]
-        idx = [0] * len(link_verts)
-        while True:
-            g = {u: perms[idx[i]] for i, u in enumerate(link_verts)}
-            obj = objective(g)
-            if best_obj is None or obj < best_obj:
-                best_g, best_obj = g, obj
-            pos = 0
-            while pos < len(link_verts):
-                idx[pos] += 1
-                if idx[pos] < len(perms):
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos == len(link_verts):
-                break
-        g = best_g
+        g = min(_assignments(link_verts, f.n), key=objective)  # the first minimum wins
     else:
         rng = SplitMix64(seed)
         g = {u: f.value_on((u, v)).completed() for u in link_verts}
@@ -506,7 +472,6 @@ def vertex_link_correction(
                     g, best = cand, objective(cand)
 
     out = f
-    predicted = with_assignment(f, g)
     total = len(tris)
     for i in range(f.n):
         before = _index_violation_count(out, tris, i)

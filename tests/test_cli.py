@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from permstab import fileio
 from permstab.actions import AlmostAction
-from permstab.cli import main
+from permstab.cli import build_parser, main
 from permstab.cohomology import cochain_from_support
 from permstab.complexes import (
     Presentation,
@@ -78,6 +80,80 @@ def test_sym_cochain_round_trip():
     f = SymCochain(x, 1, 3, values)
     back = fileio.load_sym_cochain(fileio.dump_sym_cochain(f))
     assert back.values == f.values and back.n == 3
+
+
+SYM_HEAD = "sym degree=1 n=2\ncomplex\ndim 1\n0 1\nendcomplex\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("cell 0 1\n-1 -> 1\n0 -> 0\n1 -> 1\n", "index -1 outside range"),
+        ("cell 0 1\n0 -> 0\n1 -> 1\n2 -> 1\n", "index 2 outside range"),
+        ("cell 0 1\n0 -> 0\n0 -> 1\n1 -> 1\n", "index 0 given twice"),
+        ("cell 0 1\n0 -> 0\n1 -> 1\ncell 0 1\n0 -> 1\n1 -> 0\n", r"cell \(0, 1\) given twice"),
+        ("0 -> 0\ncell 0 1\n0 -> 0\n1 -> 1\n", "before any 'cell'"),
+        ("cell 0 1\n1 -> undef\n", "needs 2 index lines"),
+        ("cell 0 x\n0 -> 0\n1 -> 1\n", "bad cell line"),
+    ],
+)
+def test_sym_cochain_index_lines_are_strict(body, message):
+    with pytest.raises(FormatError, match=message):
+        fileio.load_sym_cochain(SYM_HEAD + body)
+    complete = fileio.load_sym_cochain(SYM_HEAD + "cell 0 1\n1 -> undef\n0 -> 1\n")
+    assert complete.values == {(0, 1): PartialInj(2, (1, None))}  # any line order
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (fileio.load_sym_cochain, "sym degree=1 n=3\n"),
+        (fileio.load_sym_cochain, "sym degree1 n=3\ncomplex\ndim 1\n0 1\nendcomplex\n"),
+        (fileio.load_sym_cochain, "sym degree=1\ncomplex\ndim 1\n0 1\nendcomplex\n"),
+        (lambda text: fileio.load_cochain(text, full_triangle()), "dim x\n0 1\n"),
+        (fileio.load_complex, "dim x\n0 1\n"),
+        (fileio.load_perm, "size x\n0 -> 1\n"),
+        (lambda text: fileio.load_action(text, Presentation(("a",), ())), "space x\ngenerator a\n0 -> 0\n"),
+        (lambda text: fileio.load_action(text, Presentation(("a",), ())), "generator a\n0 - 0\n"),
+    ],
+)
+def test_malformed_headers_raise_format_error(load, text):
+    with pytest.raises(FormatError):
+        load(text)
+
+
+def test_cli_malformed_headers_exit_1(tmp_path, capsys):
+    cases = {
+        "short.sym": "sym degree=1 n=3\n",
+        "nokey.sym": "sym degree1 n=3\ncomplex\ndim 1\n0 1\nendcomplex\n",
+        "dup.sym": SYM_HEAD + "cell 0 1\n0 -> 0\n0 -> 1\n1 -> 1\n",
+    }
+    for name, text in cases.items():
+        (tmp_path / name).write_text(text)
+        assert main(["sym", "delete", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1" if name != "dup.sym" else "error: line 8")
+    pres = tmp_path / "g.pres"
+    pres.write_text("gen a\n")
+    act = tmp_path / "a.act"
+    act.write_text("space x\ngenerator a\n0 -> 0\n")
+    assert main(["action", "defect", str(pres), str(act)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: bad header")
+
+
+def test_readme_command_lines_parse():
+    """Every command and global flag the README shows is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("permstab ")]
+    flags_line = next(line for line in readme.splitlines() if line.startswith("Global flags"))
+    flags = re.findall(r"`(--[\w-]+)`", flags_line)
+    assert len(commands) >= 10 and flags
+    argvs = [argv[1:] for argv in commands] + [[flag, "1", "complex", "info", "x.cx"] for flag in flags]
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README shows an invalid command: permstab {' '.join(argv)}")
 
 
 # -- commands -----------------------------------------------------------------

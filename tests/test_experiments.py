@@ -75,12 +75,6 @@ def test_sweep_ordering_and_empty():
     assert rows_to_csv([]).count("\n") == 1  # header-only
 
 
-def test_sweep_threads_match_sequential():
-    seq = sweep([Fraction(0), Fraction(1, 10)], seeds=[5], fiber=8, threads=1)
-    par = sweep([Fraction(0), Fraction(1, 10)], seeds=[5], fiber=8, threads=3)
-    assert rows_to_csv(seq) == rows_to_csv(par)
-
-
 def test_run_pipeline_report_consistency():
     row, report = run_pipeline(ExperimentConfig(seed=12, epsilon=Fraction(1, 10), fiber=12))
     assert row.bound == row.eps + 4 * row.rho
