@@ -10,7 +10,7 @@ distance moved at each stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Presentation, Word, free_reduce

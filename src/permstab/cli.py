@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import cohomology, fileio
 from .actions import defect, normalize_sofic_approx, separation_report
-from .complexes import SimplicialComplex, face_weight, spanning_tree, fundamental_group_presentation
+from .complexes import spanning_tree, fundamental_group_presentation
 from .covers import build_cover, contradiction_experiment, extension_from_cocycle
 from .errors import BoundViolation, PermstabError
 from .experiments import ExperimentConfig, run_pipeline, rows_to_csv, sweep

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .actions import AlmostAction, action_distance, normalize_sofic_approx
+from .actions import AlmostAction, normalize_sofic_approx
 from .cohomology import F2Cochain, coboundary, zero_cochain
 from .complexes import (
     RootedTree,

@@ -64,9 +64,13 @@ def dump_complex(x: SimplicialComplex) -> str:
 
 
 def load_complex(text: str) -> SimplicialComplex:
-    lines = list(_lines(text))
+    return _complex_from_lines(list(_lines(text)), 1)
+
+
+def _complex_from_lines(lines, empty_lineno: int) -> SimplicialComplex:
+    """The complex in numbered ``lines``; ``empty_lineno`` is reported when there are none."""
     if not lines or not lines[0][1].startswith("dim "):
-        raise FormatError("expected a 'dim d' header", lines[0][0] if lines else 1)
+        raise FormatError("expected a 'dim d' header", lines[0][0] if lines else empty_lineno)
     dim = _header_int(lines[0][1], lines[0][0])
     faces = []
     for lineno, line in lines[1:]:
@@ -78,7 +82,7 @@ def load_complex(text: str) -> SimplicialComplex:
         raise FormatError("no faces", lines[0][0])
     x = SimplicialComplex.from_cells(faces)
     if x.dim != dim:
-        raise FormatError(f"header says dim {dim} but the faces give dim {x.dim}")
+        raise FormatError(f"header says dim {dim} but the faces give dim {x.dim}", lines[0][0])
     return x
 
 
@@ -226,35 +230,34 @@ def load_sym_cochain(text: str) -> SymCochain:
         degree, n = int(head["degree"]), int(head["n"])
     except (KeyError, ValueError):
         raise FormatError("expected a 'sym degree=i n=N' header", lines[0][0]) from None
-    idx = 1
-    if idx >= len(lines) or lines[idx][1] != "complex":
-        raise FormatError("expected an inline complex section", lines[min(idx, len(lines) - 1)][0])
-    idx += 1
-    complex_lines = []
-    while idx < len(lines) and lines[idx][1] != "endcomplex":
-        complex_lines.append(lines[idx][1])
-        idx += 1
-    x = load_complex("\n".join(complex_lines))
-    idx += 1
+    if len(lines) < 2 or lines[1][1] != "complex":
+        raise FormatError("expected an inline complex section", lines[min(1, len(lines) - 1)][0])
+    complex_lineno = lines[1][0]
+    end = next((i for i in range(2, len(lines)) if lines[i][1] == "endcomplex"), None)
+    if end is None:
+        raise FormatError("inline complex section has no 'endcomplex'", complex_lineno)
+    x = _complex_from_lines(lines[2:end], complex_lineno)
     values = {}
     current = None
+    current_lineno = 0
     table: dict[int, int | None] = {}
 
-    def flush(lineno):
+    def flush():
         if current is not None:
             if len(table) != n:
-                raise FormatError(f"cell block needs {n} index lines", lineno)
+                raise FormatError(f"cell block needs {n} index lines", current_lineno)
             values[current] = PartialInj(n, tuple(table[i] for i in range(n)))
 
-    for lineno, line in lines[idx:]:
+    for lineno, line in lines[end + 1:]:
         if line.startswith("cell "):
-            flush(lineno)
+            flush()
             try:
                 current = tuple(int(t) for t in line.split()[1:])
             except ValueError:
                 raise FormatError("bad cell line", lineno) from None
             if current in values:
                 raise FormatError(f"cell {current} given twice", lineno)
+            current_lineno = lineno
             table = {}
             continue
         try:
@@ -270,7 +273,7 @@ def load_sym_cochain(text: str) -> SymCochain:
         if i in table:
             raise FormatError(f"index {i} given twice", lineno)
         table[i] = img
-    flush(0)
+    flush()
     return SymCochain(x, degree, n, values)
 
 

@@ -1,8 +1,7 @@
 """Pure-Python Gray-code scan kernels.
 
-These are the fallback twins of the compiled routines in ``_fast``; both
-implementations enumerate in the same order and break ties identically, so
-results are bit-for-bit interchangeable.  They are also the oracle: the
+Each scan visits every point once, in Gray-code order, with incremental
+weight updates.  They are the package's only kernels and its oracle: the
 tests and ``perfbench/run.py --workload exact --trace 1`` check kernel calls
 against them.
 """
@@ -49,7 +48,8 @@ def min_ratio_scan(u_rows, u_img_rows, z_rows, weights_lo, weights_hi):
     For every nonzero combination of the u rows the inner scan finds the
     minimum ``weights_lo`` weight over its coset, and the outer scan tracks
     the image pattern and ``weights_hi`` weight.  Returns the integer pair
-    ``(image_weight, coset_min_weight)`` of the minimizing ratio.
+    ``(image_weight, coset_min_weight)`` of the minimizing ratio; among equal
+    ratios the first coset in Gray-code order wins.
     """
     nu, nz = len(u_rows), len(z_rows)
     if nu == 0:

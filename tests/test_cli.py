@@ -140,6 +140,28 @@ def test_cli_malformed_headers_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: bad header")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("sym degree=1 n=2\ncomplex\ndim 1\n0 x\nendcomplex\n", "error: line 4: bad face line"),
+        (
+            "sym degree=1 n=2\ncomplex\ndim 2\n0 1\nendcomplex\n",
+            "error: line 3: header says dim 2 but the faces give dim 1",
+        ),
+        (
+            "sym degree=1 n=2\ncomplex\ndim 1\n0 1\n# no end marker\ncell 0 1\n0 -> 1\n1 -> 0\n",
+            "error: line 2: inline complex section has no 'endcomplex'",
+        ),
+        (SYM_HEAD + "cell 0 1\n1 -> undef\n", "error: line 6: cell block needs 2 index lines"),
+    ],
+)
+def test_cli_sym_errors_name_the_file_line(tmp_path, capsys, text, error):
+    path = tmp_path / "f.sym"
+    path.write_text(text)
+    assert main(["sym", "delete", str(path)]) == 1
+    assert capsys.readouterr().err == error + "\n"
+
+
 def test_readme_command_lines_parse():
     """Every command and global flag the README shows is accepted by the parser."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
