@@ -114,9 +114,10 @@ def dump_perm(perm: ErrPerm) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_perm_lines(pairs, size, lineno):
+def _parse_perm_lines(pairs, size):
+    """The permutation of ``(i, j, lineno)`` map lines; a repeated point names its own line."""
     mapping = {}
-    for x, y in pairs:
+    for x, y, lineno in pairs:
         if x in mapping:
             raise FormatError(f"point {x} mapped twice", lineno)
         mapping[x] = y
@@ -126,14 +127,12 @@ def _parse_perm_lines(pairs, size, lineno):
 def load_perm(text: str) -> ErrPerm:
     size = None
     pairs = []
-    last = 1
     for lineno, line in _lines(text):
-        last = lineno
         if line.startswith("size "):
             size = _header_int(line, lineno)
         else:
-            pairs.append(_map_line(line, lineno))
-    return _parse_perm_lines(pairs, size, last)
+            pairs.append((*_map_line(line, lineno), lineno))
+    return _parse_perm_lines(pairs, size)
 
 
 def dump_action(action: AlmostAction) -> str:
@@ -150,22 +149,22 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
     space = None
     images: dict[str, ErrPerm] = {}
     current: str | None = None
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int, int]] = []
 
-    def flush(lineno):
+    def flush():
         if current is not None:
-            images[current] = _parse_perm_lines(pairs, space, lineno)
+            images[current] = _parse_perm_lines(pairs, space)
 
     for lineno, line in _lines(text):
         if line.startswith("space "):
             space = _header_int(line, lineno)
         elif line.startswith("generator "):
-            flush(lineno)
+            flush()
             current = line.split(None, 1)[1]
             pairs = []
         else:
-            pairs.append(_map_line(line, lineno))
-    flush(0)
+            pairs.append((*_map_line(line, lineno), lineno))
+    flush()
     if space is None:
         space = max((p.size for p in images.values()), default=0)
     images = {

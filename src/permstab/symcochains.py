@@ -545,7 +545,7 @@ def global_deletion(f: SymCochain) -> tuple[SymCochain, DeletionReport]:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A closed based walk, stored with the closing vertex repeated."""
+    """A closed based walk, stored with the closing vertex repeated; validated where it enters."""
 
     complex: SimplicialComplex
     verts: tuple
@@ -580,92 +580,92 @@ class Cycle:
         return Cycle(x, (v,))
 
 
-def evaluate_cycle(f: SymCochain, cycle: Cycle) -> PartialInj:
-    """Compose the edge values around the walk, first edge applied first."""
-    if cycle.complex is not f.complex:
-        raise PermstabError("cycle lives on a different complex")
+def _walk_composite(f: SymCochain, verts: tuple) -> PartialInj:
+    """Compose the edge values along a vertex tuple, first edge applied first."""
     out = PartialInj.identity(f.n)
-    for a, b in cycle.edges():
+    for a, b in zip(verts, verts[1:]):
         out = f.value_on((a, b)).compose(out)
     return out
 
 
-def cycle_domain(f: SymCochain, cycle: Cycle) -> frozenset:
-    """Indices defined on every traversed edge (the composite may exceed this)."""
+def _walk_domain(f: SymCochain, verts: tuple) -> frozenset:
+    """Indices defined on every edge along a vertex tuple."""
     dom = frozenset(range(f.n))
-    for a, b in cycle.edges():
+    for a, b in zip(verts, verts[1:]):
         dom &= f.value_on((a, b)).domain
     return dom
 
 
+def evaluate_cycle(f: SymCochain, cycle: Cycle) -> PartialInj:
+    """Compose the edge values around the walk, first edge applied first."""
+    if cycle.complex is not f.complex:
+        raise PermstabError("cycle lives on a different complex")
+    return _walk_composite(f, cycle.verts)
+
+
+def cycle_domain(f: SymCochain, cycle: Cycle) -> frozenset:
+    """Indices defined on every traversed edge (the composite may exceed this)."""
+    return _walk_domain(f, cycle.verts)
+
+
 KINDS = ("EE", "EC", "TE", "TC")
+_KIND_NAMES = dict(
+    zip(KINDS, ("edge-extension", "edge-contraction", "triangle-extension", "triangle-contraction"))
+)
+
+
+def _steps(x: SimplicialComplex, verts: tuple, max_len: int):
+    """Every rewriting step from a cycle's vertex tuple: (kind, position, cell, next_verts).
+
+    This is the one definition of the relation.  The order is every EC by
+    position, every TC by position, then, while the longer cycle stays within
+    ``max_len``, TE by position and triangle and EE by position and
+    neighbour.  ``verts`` must be a valid cycle of ``x``; so is every
+    ``next_verts``.
+    """
+    length = len(verts) - 1
+    for p in range(length - 1):
+        if verts[p] == verts[p + 2]:
+            yield "EC", p, tuple(sorted(verts[p : p + 2])), verts[: p + 1] + verts[p + 3 :]
+    for p in range(length - 1):
+        u, mid, w = verts[p : p + 3]
+        tri = tuple(sorted((u, mid, w)))
+        if len({u, mid, w}) == 3 and x.has_cell(tri) and x.has_cell((u, w)):
+            yield "TC", p, tri, verts[: p + 1] + verts[p + 2 :]
+    if length + 1 <= max_len:
+        for p in range(length):
+            u, w = verts[p], verts[p + 1]
+            for tri in x.cells(2):
+                if u in tri and w in tri:
+                    mid = next(z for z in tri if z not in (u, w))
+                    yield "TE", p, tri, verts[: p + 1] + (mid,) + verts[p + 1 :]
+    if length + 2 <= max_len:
+        for p, v in enumerate(verts):
+            for nb in x.neighbors(v):
+                yield "EE", p, tuple(sorted((v, nb))), verts[: p + 1] + (nb,) + verts[p:]
 
 
 def relation_step(x: SimplicialComplex, cycle: Cycle, kind: str, position: int, cell) -> Cycle:
     """Apply one edge/triangle extension or contraction at a position."""
     if cycle.complex is not x:
         raise PermstabError("cycle lives on a different complex")
-    verts = cycle.verts
     cell = tuple(sorted(cell))
     if not x.has_cell(cell):
         raise PermstabError(f"{cell} is not a cell")
-    p = position
-    if kind == "EE":
-        if not 0 <= p < len(verts) or len(cell) != 2 or verts[p] not in cell:
-            raise PermstabError("no edge-extension match at this position")
-        other = cell[0] if cell[1] == verts[p] else cell[1]
-        return Cycle(x, verts[: p + 1] + (other,) + verts[p:])
-    if kind == "EC":
-        if (
-            p + 2 >= len(verts)
-            or verts[p] != verts[p + 2]
-            or set(cell) != {verts[p], verts[p + 1]}
-        ):
-            raise PermstabError("no edge-contraction match at this position")
-        return Cycle(x, verts[: p + 1] + verts[p + 3 :])
-    if kind == "TE":
-        if p + 1 >= len(verts) or len(cell) != 3:
-            raise PermstabError("no triangle-extension match at this position")
-        u, w = verts[p], verts[p + 1]
-        if u == w or not {u, w} < set(cell):
-            raise PermstabError("no triangle-extension match at this position")
-        mid = next(z for z in cell if z not in (u, w))
-        return Cycle(x, verts[: p + 1] + (mid,) + verts[p + 1 :])
-    if kind == "TC":
-        if p + 2 >= len(verts) or len(cell) != 3:
-            raise PermstabError("no triangle-contraction match at this position")
-        u, mid, w = verts[p], verts[p + 1], verts[p + 2]
-        if len({u, mid, w}) != 3 or set(cell) != {u, mid, w} or not x.has_cell((u, w)):
-            raise PermstabError("no triangle-contraction match at this position")
-        return Cycle(x, verts[: p + 1] + verts[p + 2 :])
-    raise PermstabError(f"unknown step kind {kind!r}")
+    if kind not in KINDS:
+        raise PermstabError(f"unknown step kind {kind!r}")
+    for step in _steps(x, cycle.verts, cycle.length + 2):
+        if step[:3] == (kind, position, cell):
+            return Cycle(x, step[3])
+    raise PermstabError(f"no {_KIND_NAMES[kind]} match at this position")
 
 
 def enumerate_steps(x: SimplicialComplex, cycle: Cycle, max_len: int):
     """All legal single rewriting steps keeping the length within ``max_len``."""
-    verts = cycle.verts
-    out = []
-    for p in range(len(verts) - 2):
-        if verts[p] == verts[p + 2]:
-            cell = tuple(sorted((verts[p], verts[p + 1])))
-            out.append(("EC", p, cell, relation_step(x, cycle, "EC", p, cell)))
-    for p in range(len(verts) - 2):
-        u, mid, w = verts[p], verts[p + 1], verts[p + 2]
-        tri = tuple(sorted((u, mid, w)))
-        if len({u, mid, w}) == 3 and x.has_cell(tri) and x.has_cell((u, w)):
-            out.append(("TC", p, tri, relation_step(x, cycle, "TC", p, tri)))
-    if cycle.length + 1 <= max_len:
-        for p in range(len(verts) - 1):
-            u, w = verts[p], verts[p + 1]
-            for tri in x.cells(2):
-                if u in tri and w in tri:
-                    out.append(("TE", p, tri, relation_step(x, cycle, "TE", p, tri)))
-    if cycle.length + 2 <= max_len:
-        for p in range(len(verts)):
-            for nb in x.neighbors(verts[p]):
-                cell = tuple(sorted((verts[p], nb)))
-                out.append(("EE", p, cell, relation_step(x, cycle, "EE", p, cell)))
-    return out
+    steps = list(_steps(x, cycle.verts, max_len))
+    if steps and cycle.complex is not x:
+        raise PermstabError("cycle lives on a different complex")
+    return [(kind, p, cell, Cycle(x, nxt)) for kind, p, cell, nxt in steps]
 
 
 @dataclass
@@ -685,6 +685,7 @@ def is_contractible(
     sequence when the trivial cycle is reached, otherwise reports whether the
     bounded search space was exhausted or the step budget ran out.
     """
+    Cycle(x, cycle.verts)  # the one validation: every rewrite of a valid cycle is valid
     target = (cycle.base,)
     start = cycle.verts
     parents: dict[tuple, tuple | None] = {start: None}
@@ -701,11 +702,11 @@ def is_contractible(
                 seq.append(moves[node])
                 node = parents[node]
             return ContractionVerdict(True, list(reversed(seq)), explored, False)
-        for kind, p, cell, nxt in enumerate_steps(x, Cycle(x, cur), max_len):
-            if nxt.verts not in parents:
-                parents[nxt.verts] = cur
-                moves[nxt.verts] = (kind, p, cell)
-                queue.append(nxt.verts)
+        for kind, p, cell, nxt in _steps(x, cur, max_len):
+            if nxt not in parents:
+                parents[nxt] = cur
+                moves[nxt] = (kind, p, cell)
+                queue.append(nxt)
     return ContractionVerdict(False, None, explored, bool(queue))
 
 
@@ -737,7 +738,7 @@ def good_function_check(
 
     def value(verts: tuple) -> PartialInj:
         if verts not in values:
-            values[verts] = evaluate_cycle(f, Cycle(x, verts))
+            values[verts] = _walk_composite(f, verts)
         return values[verts]
 
     step_violations = []
@@ -752,7 +753,7 @@ def good_function_check(
             cur = queue.popleft()
             budget_left -= 1
             enumerated += 1
-            dom = cycle_domain(f, Cycle(x, cur))
+            dom = _walk_domain(f, cur)
             comp = value(cur)
             for j in sorted(dom):
                 val = comp.apply(j)
@@ -765,22 +766,22 @@ def good_function_check(
                         enumerated,
                         False,
                     )
-            for kind, p, cell, nxt in enumerate_steps(x, Cycle(x, cur), max_len):
-                a, b = value(cur), value(nxt.verts)
+            for kind, p, cell, nxt in _steps(x, cur, max_len):
+                b = value(nxt)
                 if kind == "EE":
                     ee_gaps += sum(
                         1
                         for j in range(f.n)
-                        if a.apply(j) is not None and b.apply(j) is None
+                        if comp.apply(j) is not None and b.apply(j) is None
                     )
                 else:
                     for j in range(f.n):
-                        va, vb = a.apply(j), b.apply(j)
+                        va, vb = comp.apply(j), b.apply(j)
                         if va is not None and vb is not None and va != vb:
                             step_violations.append((Cycle(x, cur), kind, p, cell, j))
-                if nxt.verts not in seen:
-                    seen.add(nxt.verts)
-                    queue.append(nxt.verts)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return GoodFunctionReport(
         True, None, tuple(step_violations), ee_gaps, enumerated, budget_left <= 0
     )

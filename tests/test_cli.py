@@ -138,6 +138,17 @@ def test_cli_malformed_headers_exit_1(tmp_path, capsys):
     act.write_text("space x\ngenerator a\n0 -> 0\n")
     assert main(["action", "defect", str(pres), str(act)]) == 1
     assert capsys.readouterr().err.startswith("error: line 1: bad header")
+    pres.write_text("gen a\ngen b\n")
+    repeats = {  # a repeated point is reported at its own line, in any block
+        "space 3\ngenerator a\n0 -> 1\n1 -> 0\n0 -> 2\ngenerator b\n0 -> 0\n": "line 5: point 0",
+        "space 3\ngenerator a\n0 -> 1\ngenerator b\n# comment\n1 -> 2\n1 -> 0\n\n": "line 7: point 1",
+    }
+    for text, where in repeats.items():
+        act.write_text(text)
+        assert main(["action", "defect", str(pres), str(act)]) == 1
+        assert capsys.readouterr().err == f"error: {where} mapped twice\n"
+    with pytest.raises(FormatError, match=r"^line 3: point 0 mapped twice$"):
+        fileio.load_perm("size 3\n0 -> 1\n0 -> 2\n1 -> 0\n\n# trailing\n")
 
 
 @pytest.mark.parametrize(

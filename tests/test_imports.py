@@ -1,6 +1,8 @@
-"""Import hygiene of the package: standard library only, and no unused names."""
+"""Import hygiene (standard library only, no unused names) and the names the benchmark's tracer wraps."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -45,3 +47,25 @@ def test_imported_names_are_used():
                 if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((name, bound))
     assert unused == []
+
+
+def test_traced_names_are_bound():
+    """Every function the benchmark's tracer wraps still exists under its listed name."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr_path, _mode, _stats in tracer.LAYERS:
+        mod = importlib.import_module(f"permstab.{module}")
+        owner_name, _, attr = attr_path.rpartition(".")
+        if owner_name:  # a method is wrapped on its own class
+            owner = getattr(mod, owner_name, None)
+            found = isinstance(owner, type) and vars(owner).get(attr) is not None
+        else:
+            found = getattr(mod, attr, None) is not None
+        if not found:
+            missing.append(f"{module}.{attr_path}")
+    reference = importlib.import_module("permstab.kernels.reference")
+    missing += [f"kernels.reference.{k}" for k in tracer.KERNELS if not callable(getattr(reference, k, None))]
+    assert missing == []
