@@ -77,29 +77,32 @@ def delta_columns(x: SimplicialComplex, k: int) -> tuple[int, ...]:
     return x._cache[key]
 
 
+def _set_bits(bits: int):
+    """Positions of the set bits, lowest first."""
+    while bits:
+        yield (bits & -bits).bit_length() - 1
+        bits &= bits - 1
+
+
+def _xor_rows(rows, marker: int) -> int:
+    """XOR of ``rows[i]`` over the set bits ``i`` of ``marker``."""
+    out = 0
+    for i in _set_bits(marker):
+        out ^= rows[i]
+    return out
+
+
 def coboundary(alpha: F2Cochain) -> F2Cochain:
     """Sum each (k+1)-cell's k-faces mod 2."""
     x, k = alpha.complex, alpha.degree
     if k >= x.dim:
         raise PermstabError("no codomain above the top dimension")
-    cols = delta_columns(x, k)
-    bits = 0
-    rest = alpha.bits
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        bits ^= cols[i]
-        rest &= rest - 1
-    return F2Cochain(x, k + 1, bits)
+    return F2Cochain(x, k + 1, _xor_rows(delta_columns(x, k), alpha.bits))
 
 
 def weighted_norm(alpha: F2Cochain) -> Fraction:
     nums, den = alpha.complex.weight_numerators(alpha.degree)
-    total = 0
-    rest = alpha.bits
-    while rest:
-        total += nums[(rest & -rest).bit_length() - 1]
-        rest &= rest - 1
-    return Fraction(total, den)
+    return Fraction(sum(nums[i] for i in _set_bits(alpha.bits)), den)
 
 
 def distance(alpha: F2Cochain, beta: F2Cochain) -> Fraction:
@@ -133,12 +136,7 @@ class F2Subspace:
     def elements(self):
         """All 2**dim member cochains; only sensible for small subspaces."""
         for t in range(1 << self.dim):
-            bits = 0
-            rest = t
-            while rest:
-                bits ^= self.basis[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            yield F2Cochain(self.complex, self.degree, bits)
+            yield F2Cochain(self.complex, self.degree, _xor_rows(self.basis, t))
 
 
 def cocycle_space(x: SimplicialComplex, k: int) -> F2Subspace:
@@ -200,11 +198,7 @@ def distance_to_subspace(alpha: F2Cochain, space: F2Subspace, mode: str = "exact
         cur = alpha.bits
 
         def wt(bits):
-            total = 0
-            while bits:
-                total += nums[(bits & -bits).bit_length() - 1]
-                bits &= bits - 1
-            return total
+            return sum(nums[i] for i in _set_bits(bits))
 
         w = wt(cur)
         improved = True
@@ -240,15 +234,7 @@ def cocycle_expansion_constant(x: SimplicialComplex, k: int):
         return None
     nums_k, den_k = x.weight_numerators(k)
     nums_k1, den_k1 = x.weight_numerators(k + 1)
-
-    def image_of(marker: int) -> int:
-        img = 0
-        while marker:
-            img ^= cols[(marker & -marker).bit_length() - 1]
-            marker &= marker - 1
-        return img
-
-    u_img = [image_of(m_) for m_ in complement]
+    u_img = [_xor_rows(cols, marker) for marker in complement]
     num, d = kernels.min_ratio_scan(complement, u_img, kernel, list(nums_k), list(nums_k1))
     return Fraction(num * den_k, d * den_k1)
 

@@ -78,7 +78,7 @@ class SimplicialComplex:
 
     def _check_pure(self) -> bool:
         """Every cell is a face of a top cell: walk the covered faces down."""
-        covered = set(self.faces_by_dim[-1])
+        covered = set(self.cells(self.dim))
         for k in range(self.dim - 1, -1, -1):
             covered = {face for c in covered for face in combinations(c, k + 1)}
             if not covered.issuperset(self.faces_by_dim[k]):
@@ -110,11 +110,11 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.faces_by_dim[0])
+        return tuple(c[0] for c in self.cells(0))
 
     @property
     def vertex_count(self) -> int:
-        return self.faces_by_dim[0][-1][0] + 1 if self.faces_by_dim[0] else 0
+        return self.cells(0)[-1][0] + 1 if self.cells(0) else 0
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if self._adj is None:
@@ -184,18 +184,7 @@ def link(x: SimplicialComplex, s) -> SimplicialComplex:
     return SimplicialComplex.from_cells(out)
 
 
-class _Empty(SimplicialComplex):
-    def __init__(self):
-        self.faces_by_dim = ()
-        self.dim = -1
-        self._index = ()
-        self._top_counts = {}
-        self._adj = {}
-        self._cache = {}
-        self.is_pure = True
-
-
-EMPTY_COMPLEX = _Empty()
+EMPTY_COMPLEX = SimplicialComplex(())
 
 
 # -- spanning trees and presentations ----------------------------------

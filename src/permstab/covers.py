@@ -31,6 +31,7 @@ from .complexes import (
     Word,
     _edge_presentation,
     edge_gen,
+    spanning_tree,
 )
 from .errors import BoundViolation, PermstabError
 
@@ -165,18 +166,22 @@ def zeta_cochain(psi: AlmostAction, f: AlmostAction, cov: Covering, tau: str = "
     return F2Cochain(y, 1, bits), types
 
 
-def _has_second_type_edge(types: dict, va: int, vb: int, vc: int) -> bool:
-    """Some edge of the cover triangle is not of the first type."""
-    return any(types[tuple(sorted(e))] != "first" for e in ((va, vb), (vb, vc), (va, vc)))
+def _cover_triangles(psi: AlmostAction, phi: F2Cochain, cov: Covering, types: dict):
+    """Classify every cover triangle: (position, cell, has_second_type_edge, tracked).
 
-
-def _tracks_base_point(
-    psi: AlmostAction, phi: F2Cochain, cov: Covering, va: int, vb: int, vc: int
-) -> bool:
-    """psi carries the fiber point at ``va`` once around the triangle to itself, signed by phi."""
-    (xx, sx), (yy, _), (zz, _) = (cov.vertex_pair[v] for v in (va, vb, vc))
-    word: Word = ((edge_gen(xx, yy), 1), (edge_gen(yy, zz), 1), (edge_gen(zz, xx), 1))
-    return sx < psi.space // 2 and apply_word(psi, word, 2 * sx) == 2 * sx + phi((xx, yy, zz))
+    The triangle's vertices are read in base-vertex order.  It has a second
+    type edge when some edge is not of the first type in ``types``; it is
+    tracked when psi carries the fiber point at its first vertex once around
+    the triangle to itself, signed by phi.
+    """
+    n = psi.space // 2
+    for j, cell in enumerate(cov.total.cells(2)):
+        va, vb, vc = sorted(cell, key=lambda v: cov.vertex_pair[v][0])
+        second = any(types[tuple(sorted(e))] != "first" for e in ((va, vb), (vb, vc), (va, vc)))
+        (xx, sx), (yy, _), (zz, _) = (cov.vertex_pair[v] for v in (va, vb, vc))
+        word: Word = ((edge_gen(xx, yy), 1), (edge_gen(yy, zz), 1), (edge_gen(zz, xx), 1))
+        tracked = sx < n and apply_word(psi, word, 2 * sx) == 2 * sx + phi((xx, yy, zz))
+        yield j, cell, second, tracked
 
 
 def first_type_triangle_check(
@@ -192,35 +197,23 @@ def first_type_triangle_check(
     fiber point is tracked correctly by psi, the pulled-back cochain must
     agree with the coboundary of zeta.  Returns (checked, violations).
     """
-    dz = coboundary(zeta)
-    phi_prime = pull_back_cocycle(phi, cov)
-    checked = 0
-    violations = []
-    for cell in cov.total.cells(2):
-        tri = sorted(cell, key=lambda v: cov.vertex_pair[v][0])
-        if not _has_second_type_edge(types, *tri) and _tracks_base_point(psi, phi, cov, *tri):
-            checked += 1
-            if phi_prime(cell) != dz(cell):
-                violations.append(cell)
-    return checked, violations
+    diff = pull_back_cocycle(phi, cov) ^ coboundary(zeta)
+    qualifying = [
+        (j, cell)
+        for j, cell, second, tracked in _cover_triangles(psi, phi, cov, types)
+        if tracked and not second
+    ]
+    return len(qualifying), [cell for j, cell in qualifying if diff.bits >> j & 1]
 
 
 def connected_components(x: SimplicialComplex) -> list[frozenset[int]]:
+    """Vertex sets of the components, in the order of their first vertex."""
     seen: set[int] = set()
     comps = []
     for v in x.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in x.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if v not in seen:
+            comps.append(spanning_tree(x, v).component)
+            seen |= comps[-1]
     return comps
 
 
@@ -270,12 +263,10 @@ def contradiction_experiment(
     nums, den = y.weight_numerators(2)
     event1_num = event2_num = checked = 0
     violations = []
-    for j, cell in enumerate(y.cells(2)):
-        tri = sorted(cell, key=lambda v: cov.vertex_pair[v][0])
-        second = _has_second_type_edge(types, *tri)
+    for j, cell, second, tracked in _cover_triangles(psi, phi, cov, types):
         if second:
             event1_num += nums[j]
-        if not _tracks_base_point(psi, phi, cov, *tri):
+        if not tracked:
             event2_num += nums[j]
         elif not second:
             checked += 1
@@ -374,14 +365,7 @@ def cover_tree(cov: Covering, tree: RootedTree, v0: int) -> RootedTree:
     if cov.project_vertex(v0) != tree.root:
         raise PermstabError("v0 does not lift the root")
     y = cov.total
-    comp = {v0}
-    queue = deque([v0])
-    while queue:
-        u = queue.popleft()
-        for w in y.neighbors(u):
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
+    comp = spanning_tree(y, v0).component
     forest = [
         e
         for e in y.cells(1)

@@ -42,12 +42,38 @@ def _support_perm(space: int, eps: Fraction, rng: SplitMix64) -> ErrPerm:
     return ErrPerm.from_mapping(mapping, space)
 
 
+def _coherent_noise(action: AlmostAction, skip, noise_of) -> tuple[AlmostAction, dict[str, Fraction]]:
+    """Compose every generator image outside ``skip`` with the noise ``noise_of(g)``.
+
+    A declared inverse partner takes the inverse of the noised image instead
+    of noise of its own, so the pair stays inverse; skipping one member of a
+    pair skips both.  Returns the noised action and the realized
+    per-generator distances.
+    """
+    partner = {a: b for a, b in action.presentation.inverse_pairs}
+    partner.update({b: a for a, b in action.presentation.inverse_pairs})
+    images = dict(action.images)
+    done = set(skip) | {partner[g] for g in skip if g in partner}
+    for g in action.generators:
+        if g in done:
+            continue
+        noised = compose(noise_of(g), action.image(g))
+        images[g] = noised
+        done.add(g)
+        if g in partner:
+            images[partner[g]] = noised.inverse()
+            done.add(partner[g])
+    out = AlmostAction(action.presentation, action.space, images)
+    return out, {g: hamming(out.image(g), action.image(g)) for g in action.generators}
+
+
 def noise_injector(
     action: AlmostAction, eps, seed: int, skip: tuple[str, ...] = ()
 ) -> tuple[AlmostAction, dict[str, Fraction]]:
     """Compose every generator image with seeded noise of support rate ``eps``.
 
-    Declared inverse pairs are perturbed coherently so they stay inverse.
+    Declared inverse pairs are perturbed coherently so they stay inverse;
+    the generators in ``skip`` and their partners keep their images.
     Returns the noised action and the realized per-generator distances, each
     at most ``eps``.
     """
@@ -55,25 +81,7 @@ def noise_injector(
     if not 0 <= eps <= 1:
         raise PermstabError("noise rate out of range")
     rng = SplitMix64(seed)
-    partner = {a: b for a, b in action.presentation.inverse_pairs}
-    partner.update({b: a for a, b in action.presentation.inverse_pairs})
-    images = dict(action.images)
-    realized: dict[str, Fraction] = {}
-    done: set[str] = set()
-    for g in action.generators:
-        if g in done or g in skip:
-            continue
-        noise = _support_perm(action.space, eps, rng.spawn(g))
-        noised = compose(noise, action.image(g))
-        images[g] = noised
-        done.add(g)
-        if g in partner and partner[g] not in skip:
-            images[partner[g]] = noised.inverse()
-            done.add(partner[g])
-    out = AlmostAction(action.presentation, action.space, images)
-    for g in action.generators:
-        realized[g] = hamming(out.image(g), action.image(g))
-    return out, realized
+    return _coherent_noise(action, skip, lambda g: _support_perm(action.space, eps, rng.spawn(g)))
 
 
 def signed_noise_injector(
@@ -88,16 +96,11 @@ def signed_noise_injector(
     if action.space % 2:
         raise PermstabError("need an action on a signed double")
     n = action.space // 2
+    k = int(eps * n)
     rng = SplitMix64(seed)
-    partner = {a: b for a, b in action.presentation.inverse_pairs}
-    partner.update({b: a for a, b in action.presentation.inverse_pairs})
-    images = dict(action.images)
-    done = {tau}
-    for g in action.generators:
-        if g in done:
-            continue
+
+    def signed_noise(g: str) -> ErrPerm:
         sub = rng.spawn(g)
-        k = int(eps * n)
         base = {i: i for i in range(n)}
         signs = {i: 0 for i in range(n)}
         if k >= 1:
@@ -111,16 +114,9 @@ def signed_noise_injector(
         for i in range(n):
             for s in (0, 1):
                 table[2 * i + s] = 2 * base[i] + (s ^ signs[i])
-        noise = ErrPerm.from_mapping(table, 2 * n)
-        noised = compose(noise, action.image(g))
-        images[g] = noised
-        done.add(g)
-        if g in partner:
-            images[partner[g]] = noised.inverse()
-            done.add(partner[g])
-    out = AlmostAction(action.presentation, action.space, images)
-    realized = {g: hamming(out.image(g), action.image(g)) for g in action.generators}
-    return out, realized
+        return ErrPerm.from_mapping(table, 2 * n)
+
+    return _coherent_noise(action, (tau,), signed_noise)
 
 
 def tree_adjusted_cocycle(

@@ -48,6 +48,14 @@ def _header_int(line: str, lineno: int) -> int:
         raise FormatError(f"bad header {line!r}", lineno) from None
 
 
+def _int_tokens(tokens, lineno: int, message: str) -> tuple[int, ...]:
+    """The integers in ``tokens``, as in a face line or a cell line."""
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise FormatError(message, lineno) from None
+
+
 def _map_line(line: str, lineno: int) -> tuple[int, int]:
     try:
         lhs, rhs = line.split("->")
@@ -72,12 +80,7 @@ def _complex_from_lines(lines, empty_lineno: int) -> SimplicialComplex:
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim d' header", lines[0][0] if lines else empty_lineno)
     dim = _header_int(lines[0][1], lines[0][0])
-    faces = []
-    for lineno, line in lines[1:]:
-        try:
-            faces.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise FormatError("bad face line", lineno) from None
+    faces = [_int_tokens(line.split(), lineno, "bad face line") for lineno, line in lines[1:]]
     if not faces:
         raise FormatError("no faces", lines[0][0])
     x = SimplicialComplex.from_cells(faces)
@@ -98,12 +101,7 @@ def load_cochain(text: str, x: SimplicialComplex) -> F2Cochain:
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim k' header", lines[0][0] if lines else 1)
     k = _header_int(lines[0][1], lines[0][0])
-    cells = []
-    for lineno, line in lines[1:]:
-        try:
-            cells.append(tuple(int(t) for t in line.split()))
-        except ValueError:
-            raise FormatError("bad cell line", lineno) from None
+    cells = [_int_tokens(line.split(), lineno, "bad cell line") for lineno, line in lines[1:]]
     return cochain_from_support(x, k, cells)
 
 
@@ -250,10 +248,7 @@ def load_sym_cochain(text: str) -> SymCochain:
     for lineno, line in lines[end + 1:]:
         if line.startswith("cell "):
             flush()
-            try:
-                current = tuple(int(t) for t in line.split()[1:])
-            except ValueError:
-                raise FormatError("bad cell line", lineno) from None
+            current = _int_tokens(line.split()[1:], lineno, "bad cell line")
             if current in values:
                 raise FormatError(f"cell {current} given twice", lineno)
             current_lineno = lineno

@@ -170,7 +170,8 @@ def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
     """
     if not (zeta.is_total and zeta.is_bijection):
         raise PermstabError("need a genuine permutation")
-    if any(compose(zeta, zeta).apply(x) != x for x in zeta.domain):
+    square = compose(zeta, zeta)
+    if any(square.apply(x) != x for x in zeta.domain):
         raise PermstabError("input is not an involution")
     fixed = sorted(zeta.fixed_points())
     mapping = {x: zeta.apply(x) for x in zeta.domain if zeta.apply(x) != x}

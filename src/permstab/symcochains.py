@@ -206,18 +206,15 @@ def triangle_composite(f: SymCochain, oriented) -> PartialInj:
     return f.value_on((w, u)).compose(out)
 
 
-def _violating_indices(f: SymCochain, tri: Cell, strict: bool) -> set:
-    """Indices whose value moves around the triangle in either orientation."""
+def _violating_indices(f: SymCochain, tri: Cell) -> set:
+    """Indices whose value is defined and moves around the triangle in either orientation."""
     u, v, w = tri
     bad = set()
     for orient in ((u, v, w), (u, w, v)):
         comp = triangle_composite(f, orient)
         for j in range(f.n):
             val = comp.apply(j)
-            if val is None:
-                if strict:
-                    bad.add(j)
-            elif val != j:
+            if val is not None and val != j:
                 bad.add(j)
     return bad
 
@@ -502,7 +499,7 @@ class DeletionReport:
 
 def count_joint_violations(f: SymCochain) -> int:
     """Jointly defined (index, triangle) violations, either orientation."""
-    return sum(len(_violating_indices(f, tri, strict=False)) for tri in f.complex.cells(2))
+    return sum(len(_violating_indices(f, tri)) for tri in f.complex.cells(2))
 
 
 def global_deletion(f: SymCochain) -> tuple[SymCochain, DeletionReport]:
@@ -520,7 +517,7 @@ def global_deletion(f: SymCochain) -> tuple[SymCochain, DeletionReport]:
     pairs = 0
     doomed: set[int] = set()
     for tri in tris:
-        bad = _violating_indices(f, tri, strict=False)
+        bad = _violating_indices(f, tri)
         pairs += len(bad)
         doomed |= bad
     values = dict(f.values)
@@ -605,6 +602,8 @@ def evaluate_cycle(f: SymCochain, cycle: Cycle) -> PartialInj:
 
 def cycle_domain(f: SymCochain, cycle: Cycle) -> frozenset:
     """Indices defined on every traversed edge (the composite may exceed this)."""
+    if cycle.complex is not f.complex:
+        raise PermstabError("cycle lives on a different complex")
     return _walk_domain(f, cycle.verts)
 
 

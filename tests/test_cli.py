@@ -95,6 +95,7 @@ SYM_HEAD = "sym degree=1 n=2\ncomplex\ndim 1\n0 1\nendcomplex\n"
         ("0 -> 0\ncell 0 1\n0 -> 0\n1 -> 1\n", "before any 'cell'"),
         ("cell 0 1\n1 -> undef\n", "needs 2 index lines"),
         ("cell 0 x\n0 -> 0\n1 -> 1\n", "bad cell line"),
+        ("cell 0 1\n0 -> 0\n1 -> 1\n\n# next\ncell 0 1.0\n0 -> 0\n", "^line 11: bad cell line$"),
     ],
 )
 def test_sym_cochain_index_lines_are_strict(body, message):
@@ -104,21 +105,41 @@ def test_sym_cochain_index_lines_are_strict(body, message):
     assert complete.values == {(0, 1): PartialInj(2, (1, None))}  # any line order
 
 
+LOADER_ERRORS = [
+    (fileio.load_sym_cochain, "sym degree=1 n=3\n", "^line 1: expected an inline complex section$"),
+    (fileio.load_sym_cochain, "sym degree1 n=3\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: expected a 'sym"),
+    (fileio.load_sym_cochain, "sym degree=1\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: expected a 'sym"),
+    (lambda text: fileio.load_cochain(text, full_triangle()), "dim x\n0 1\n", "^line 1: bad header 'dim x'$"),
+    (fileio.load_complex, "dim x\n0 1\n", "^line 1: bad header 'dim x'$"),
+    (fileio.load_perm, "size x\n0 -> 1\n", "^line 1: bad header 'size x'$"),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "space x\ngenerator a\n0 -> 0\n",
+        "^line 1: bad header 'space x'$",
+    ),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "generator a\n0 - 0\n",
+        "^line 2: expected 'i -> j'$",
+    ),
+    # integer lines name their own line, past blanks and comments
+    (fileio.load_complex, "dim 1\n0 1\n\n1 -2x\n", "^line 4: bad face line$"),
+    (
+        lambda text: fileio.load_cochain(text, full_triangle()),
+        "dim 1\n# edges\n0 1\n1 two\n",
+        "^line 4: bad cell line$",
+    ),
+]
+
+
+# ids name the loader and the text only, as they did before the message column
 @pytest.mark.parametrize(
-    "load, text",
-    [
-        (fileio.load_sym_cochain, "sym degree=1 n=3\n"),
-        (fileio.load_sym_cochain, "sym degree1 n=3\ncomplex\ndim 1\n0 1\nendcomplex\n"),
-        (fileio.load_sym_cochain, "sym degree=1\ncomplex\ndim 1\n0 1\nendcomplex\n"),
-        (lambda text: fileio.load_cochain(text, full_triangle()), "dim x\n0 1\n"),
-        (fileio.load_complex, "dim x\n0 1\n"),
-        (fileio.load_perm, "size x\n0 -> 1\n"),
-        (lambda text: fileio.load_action(text, Presentation(("a",), ())), "space x\ngenerator a\n0 -> 0\n"),
-        (lambda text: fileio.load_action(text, Presentation(("a",), ())), "generator a\n0 - 0\n"),
-    ],
+    "load, text, message",
+    LOADER_ERRORS,
+    ids=[f"{load.__name__}-{text}" for load, text, _ in LOADER_ERRORS],
 )
-def test_malformed_headers_raise_format_error(load, text):
-    with pytest.raises(FormatError):
+def test_malformed_headers_raise_format_error(load, text, message):
+    with pytest.raises(FormatError, match=message):
         load(text)
 
 
@@ -164,6 +185,8 @@ def test_cli_malformed_headers_exit_1(tmp_path, capsys):
             "error: line 2: inline complex section has no 'endcomplex'",
         ),
         (SYM_HEAD + "cell 0 1\n1 -> undef\n", "error: line 6: cell block needs 2 index lines"),
+        ("sym degree=1 n=2\n\ncomplex\ndim 1\n# faces\n0 1\n1 2 z\nendcomplex\n", "error: line 7: bad face line"),
+        (SYM_HEAD + "cell 0 1\n0 -> 1\n1 -> 0\ncell 1 a\n", "error: line 9: bad cell line"),
     ],
 )
 def test_cli_sym_errors_name_the_file_line(tmp_path, capsys, text, error):

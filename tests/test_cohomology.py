@@ -1,9 +1,14 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab.cohomology import (
     F2Cochain,
+    F2Subspace,
     coboundary,
     coboundary_space,
     cochain_from_support,
@@ -18,6 +23,7 @@ from permstab.cohomology import (
 from permstab.complexes import (
     SimplicialComplex,
     boundary_of_simplex,
+    face_weight,
     full_triangle,
     projective_plane_six,
 )
@@ -49,6 +55,67 @@ def test_coboundary_squares_to_zero():
         for _ in range(50):
             for k in range(y.dim - 1):
                 assert coboundary(coboundary(random_cochain(rng, y, k))).is_zero
+
+
+# -- naive definitions: face sums, weights of the support, XORs of basis subsets --
+
+cell_families = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True), min_size=1, max_size=8
+)
+
+
+def face_sum_coboundary(alpha):
+    """Bit j of the coboundary: alpha summed over the k-faces of the (k+1)-cell j, mod 2."""
+    x, k = alpha.complex, alpha.degree
+    bits = 0
+    for j, cell in enumerate(x.cells(k + 1)):
+        if sum(alpha(face) for face in combinations(cell, k + 1)) % 2:
+            bits |= 1 << j
+    return F2Cochain(x, k + 1, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=cell_families, seed=st.integers(0, 2**32))
+def test_coboundary_matches_face_sums(cells, seed):
+    x = SimplicialComplex.from_cells(cells)
+    rng = SplitMix64(seed)
+    for k in range(x.dim):
+        alpha = random_cochain(rng, x, k)
+        assert coboundary(alpha) == face_sum_coboundary(alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=cell_families, seed=st.integers(0, 2**32))
+def test_weighted_norm_is_the_weight_of_the_support(cells, seed):
+    x = SimplicialComplex.from_cells(cells)
+    if not x.is_pure:
+        x = SimplicialComplex.build_from_top_faces(x.cells(x.dim))
+    rng = SplitMix64(seed)
+    for k in range(x.dim + 1):
+        alpha = random_cochain(rng, x, k)
+        assert weighted_norm(alpha) == sum((face_weight(x, c) for c in alpha.support()), Fraction(0))
+
+
+def test_subspace_elements_are_the_xors_of_basis_subsets():
+    rng = SplitMix64(31)
+    for x in (full_triangle(), boundary_of_simplex(3), projective_plane_six()):
+        for k in range(x.dim + 1):
+            for space in (cocycle_space(x, k), coboundary_space(x, k)):
+                if space.dim > 10:
+                    continue
+                got = [e.bits for e in space.elements()]
+                subsets = [
+                    reduce(xor, sub, 0)
+                    for r in range(space.dim + 1)
+                    for sub in combinations(space.basis, r)
+                ]
+                assert sorted(got) == sorted(subsets) and len(set(got)) == 1 << space.dim
+                # element t is the XOR of the basis rows picked by the bits of t
+                t = rng.below(1 << space.dim)
+                picked = [b for i, b in enumerate(space.basis) if t >> i & 1]
+                assert got[t] == reduce(xor, picked, 0)
+    space = F2Subspace.from_rows(boundary_of_simplex(3), 1, [0b1011, 0b0110])
+    assert sorted(e.bits for e in space.elements()) == sorted({0, 0b1011, 0b0110, 0b1101})
 
 
 def test_coboundary_top_dimension_rejected():

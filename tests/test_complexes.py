@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permstab.complexes import (
+    EMPTY_COMPLEX,
     SimplicialComplex,
     annulus,
     annulus_winding_cocycle,
@@ -162,6 +163,10 @@ def test_link_examples():
     assert link(t, (0, 1)).cells(0) == ((2,),)
     lk2 = link(x, (0, 1))
     assert lk2.cells(0) == ((2,), (3,)) and lk2.dim == 0
+    empty = link(t, (0, 1, 2))
+    assert empty is EMPTY_COMPLEX and empty.dim == -1 and empty.is_pure
+    assert empty.vertices == () and empty.vertex_count == 0 and empty.neighbors(0) == ()
+    assert empty.facets() == [] and empty.cells(0) == ()
 
 
 def test_link_composition_matches_direct():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab.actions import AlmostAction, defect
 from permstab.cohomology import (
@@ -91,6 +92,36 @@ def test_trivial_cover_is_disjoint_copies():
     assert len(connected_components(cov.total)) == 2
     for k in range(3):
         assert cov.total.n_cells(k) == 2 * x.n_cells(k)
+
+
+def union_find_components(x):
+    """Components by union-find over the edges, in the order of their first vertex."""
+    parent = {v: v for v in x.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in x.cells(1):
+        parent[find(a)] = find(b)
+    groups: dict[int, set] = {}
+    for v in x.vertices:
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(g) for g in groups.values()]
+
+
+# isolated vertices and several components: cells on ten vertices, few of them edges
+sparse_cells = st.lists(
+    st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cells)
+def test_connected_components_match_union_find(cells):
+    x = SimplicialComplex.from_cells(cells)
+    assert connected_components(x) == union_find_components(x)
 
 
 def test_hexagon_double_cover():
@@ -318,6 +349,8 @@ def test_cover_tree_disconnected_cover():
     v0 = cov.vertex_id[(0, 0)]
     lifted = cover_tree(cov, tree, v0)
     assert len(lifted.parent) == x.n_cells(0)  # only this sheet
+    assert all(a in lifted.parent and b in lifted.parent for a, b in lifted.tree_edges)
+    assert len(lifted.tree_edges) == len(lifted.parent) - 1
 
 
 def test_cover_tree_hexagon():

@@ -455,8 +455,10 @@ def test_walk_composite_and_domain_match_old():
             assert evaluate_cycle(f, c) == old_evaluate_cycle(f, c)
             assert cycle_domain(f, c) == old_cycle_domain(f, c)
     other = Cycle(full_triangle(), (0, 1, 0))
-    with pytest.raises(PermstabError, match="different complex"):
-        evaluate_cycle(random_partial_cochain(full_triangle(), 3, rng), other)
+    foreign_f = random_partial_cochain(full_triangle(), 3, rng)
+    for walk in (evaluate_cycle, cycle_domain):
+        with pytest.raises(PermstabError, match="different complex"):
+            walk(foreign_f, other)
 
 
 # -- the audits ----------------------------------------------------------------------

@@ -1,0 +1,240 @@
+"""Mutation check: every listed mutant of the source must fail the tests named for it.
+
+Usage, from the root of the checkout:
+
+    python3 tools/mutation_check.py
+
+The checkout (without ``.git``) is copied to a temporary directory once.  The
+named tests are first run on the unmutated copy and must pass there; then each
+mutation replaces its old text, which must occur exactly once in its file, runs
+its tests with ``pytest -x`` and restores the file.  The script exits 1 when a
+mutant survives, when an old text does not occur exactly once, or when the
+unmutated tests fail.  It uses the standard library only (plus the ``pytest``
+the tests need) and is not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = "src/permstab/"
+
+# (name, file, old text, new text, tests that must fail)
+MUTATIONS = (
+    # covers: one component search, one cover-triangle classifier
+    (
+        "components-reordered",
+        PKG + "covers.py",
+        "    for v in x.vertices:\n        if v not in seen:",
+        "    for v in reversed(x.vertices):\n        if v not in seen:",
+        ["tests/test_covers.py::test_connected_components_match_union_find"],
+    ),
+    (
+        "cover-tree-whole-cover",
+        PKG + "covers.py",
+        "comp = spanning_tree(y, v0).component",
+        "comp = frozenset(y.vertices)",
+        ["tests/test_covers.py::test_cover_tree_disconnected_cover"],
+    ),
+    (
+        "tracked-short-circuited-by-edge-test",
+        PKG + "covers.py",
+        "tracked = sx < n and",
+        "tracked = not second and sx < n and",
+        ["tests/test_steps_diff.py::test_contradiction_experiment_matches_old"],
+    ),
+    (
+        "all-instead-of-any-edge-type",
+        PKG + "covers.py",
+        'second = any(types[tuple(sorted(e))] != "first"',
+        'second = all(types[tuple(sorted(e))] != "first"',
+        ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
+    ),
+    (
+        "first-type-check-ignores-edge-types",
+        PKG + "covers.py",
+        "if tracked and not second",
+        "if tracked",
+        ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
+    ),
+    # experiments: one coherent-noise loop
+    (
+        "partner-left-uninverted",
+        PKG + "experiments.py",
+        "images[partner[g]] = noised.inverse()",
+        "images[partner[g]] = noised",
+        ["tests/test_experiments.py::test_noise_injectors_match_pinned_digests"],
+    ),
+    (
+        "skip-leaves-partner-noised",
+        PKG + "experiments.py",
+        "done = set(skip) | {partner[g] for g in skip if g in partner}",
+        "done = set(skip)",
+        [
+            "tests/test_experiments.py::test_signed_noise_leaves_a_paired_tau_alone",
+            "tests/test_experiments.py::test_noise_injectors_match_pinned_digests",
+        ],
+    ),
+    (
+        "signed-noise-other-stream",
+        PKG + "experiments.py",
+        "sub = rng.spawn(g)",
+        "sub = rng.spawn((g,))",
+        ["tests/test_experiments.py::test_noise_injectors_match_pinned_digests"],
+    ),
+    # cohomology: one set-bit walk, one XOR of rows
+    (
+        "set-bit-skipped",
+        PKG + "cohomology.py",
+        "    while bits:\n        yield",
+        "    while bits & (bits - 1):\n        yield",
+        [
+            "tests/test_cohomology.py::test_coboundary_matches_face_sums",
+            "tests/test_cohomology.py::test_weighted_norm_is_the_weight_of_the_support",
+            "tests/test_cohomology.py::test_subspace_elements_are_the_xors_of_basis_subsets",
+        ],
+    ),
+    (
+        "rows-or-instead-of-xor",
+        PKG + "cohomology.py",
+        "out ^= rows[i]",
+        "out |= rows[i]",
+        [
+            "tests/test_cohomology.py::test_coboundary_matches_face_sums",
+            "tests/test_cohomology.py::test_subspace_elements_are_the_xors_of_basis_subsets",
+        ],
+    ),
+    # fileio: one integer-line parser
+    (
+        "integer-line-wrong-line-number",
+        PKG + "fileio.py",
+        "raise FormatError(message, lineno) from None",
+        "raise FormatError(message, lineno + 1) from None",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "sym-cell-header-keeps-keyword",
+        PKG + "fileio.py",
+        '_int_tokens(line.split()[1:], lineno, "bad cell line")',
+        '_int_tokens(line.split(), lineno, "bad cell line")',
+        ["tests/test_cli.py::test_sym_cochain_round_trip"],
+    ),
+    # complexes: the empty complex without a subclass
+    (
+        "vertices-read-top-level",
+        PKG + "complexes.py",
+        "return tuple(c[0] for c in self.cells(0))",
+        "return tuple(c[0] for c in self.faces_by_dim[0])",
+        ["tests/test_complexes.py::test_link_examples"],
+    ),
+    # symcochains: cycle_domain checks the complex
+    (
+        "cycle-domain-without-check",
+        PKG + "symcochains.py",
+        '        raise PermstabError("cycle lives on a different complex")\n    return _walk_domain',
+        "        pass\n    return _walk_domain",
+        ["tests/test_steps_diff.py::test_walk_composite_and_domain_match_old"],
+    ),
+    (
+        "violations-count-undefined",
+        PKG + "symcochains.py",
+        "if val is not None and val != j:\n                bad.add(j)",
+        "if val != j:\n                bad.add(j)",
+        ["tests/test_sym.py"],
+    ),
+    # perms: the involution check squares once
+    (
+        "square-is-zeta",
+        PKG + "perms.py",
+        "square = compose(zeta, zeta)\n    if any(",
+        "square = zeta\n    if any(",
+        ["tests/test_perms.py::test_fix_fixed_point_free_examples"],
+    ),
+    # earlier refactors: the rewriting relation, facets, the CSV writer, the reference kernels
+    (
+        "te-length-guard",
+        PKG + "symcochains.py",
+        "if length + 1 <= max_len:",
+        "if length + 2 <= max_len:",
+        ["tests/test_steps_diff.py::test_steps_match_old_enumeration"],
+    ),
+    (
+        "ee-neighbour-order",
+        PKG + "symcochains.py",
+        "for nb in x.neighbors(v):",
+        "for nb in reversed(x.neighbors(v)):",
+        ["tests/test_steps_diff.py::test_steps_match_old_enumeration"],
+    ),
+    (
+        "contractible-start-unchecked",
+        PKG + "symcochains.py",
+        "    Cycle(x, cycle.verts)  # the one validation",
+        "    # the one validation",
+        ["tests/test_steps_diff.py::test_is_contractible_validates_its_start_once"],
+    ),
+    (
+        "facets-wrong-level",
+        PKG + "complexes.py",
+        "covered = {face for c in above for face in combinations(c, k + 1)}",
+        "covered = {face for c in above for face in combinations(c, k)}",
+        ["tests/test_simplify_diff.py::test_facets_match_quadratic_scan_seeded"],
+    ),
+    (
+        "csv-crlf",
+        PKG + "fileio.py",
+        'lineterminator="\\n"',
+        'lineterminator="\\r\\n"',
+        ["tests/test_simplify_diff.py::test_rows_to_csv_matches_old_writer"],
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "perfbench-out")
+    shutil.copytree(ROOT, dest, ignore=ignore, dirs_exist_ok=True)
+
+
+def _pytest(tree: Path, tests) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        tests = sorted({t for m in MUTATIONS for t in m[4]})
+        if not _pytest(tree, tests):
+            print("the named tests fail on the unmutated checkout")
+            return 1
+        for name, rel, old, new, must_fail in MUTATIONS:
+            path = tree / rel
+            source = path.read_text()
+            if source.count(old) != 1:
+                problems.append(f"{name}: old text occurs {source.count(old)} times in {rel}")
+                print(f"stale   {name}")
+                continue
+            path.write_text(source.replace(old, new))
+            try:
+                survived = _pytest(tree, must_fail)
+            finally:
+                path.write_text(source)
+            print(f"{'SURVIVED' if survived else 'killed'}  {name}")
+            if survived:
+                problems.append(f"{name}: {rel} mutant passes {' '.join(must_fail)}")
+    for p in problems:
+        print(p)
+    print(f"{len(MUTATIONS) - len(problems)} of {len(MUTATIONS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
