@@ -147,15 +147,16 @@ class StageReport:
     holds: bool
 
 
+def _central_relations(gens, tau: str) -> list[Word]:
+    """tau^2, then the commutator [tau, g] for every other generator g in order."""
+    return [((tau, 1), (tau, 1))] + [((tau, 1), (g, 1), (tau, -1), (g, -1)) for g in gens if g != tau]
+
+
 def extension_relations(presentation: Presentation, tau: str) -> Presentation:
     """Ensure tau^2 and all sign-flip commutators are among the relations."""
     if tau not in presentation.generators:
         raise PermstabError(f"distinguished generator {tau!r} missing")
-    extra: list[Word] = [((tau, 1), (tau, 1))]
-    for g in presentation.generators:
-        if g != tau:
-            extra.append(((tau, 1), (g, 1), (tau, -1), (g, -1)))
-    return presentation.with_extra_relations(extra)
+    return presentation.with_extra_relations(_central_relations(presentation.generators, tau))
 
 
 def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[AlmostAction, StageReport]:

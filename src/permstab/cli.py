@@ -32,6 +32,13 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PermstabError(f"not a fraction: {text!r}") from None
+
+
 # -- complex ---------------------------------------------------------------
 
 
@@ -200,7 +207,7 @@ def cmd_sym_delta(args) -> int:
 
 def cmd_sym_correct_edge(args) -> int:
     f = fileio.load_sym_cochain(_read(args.f))
-    out = single_edge_correction(f, args.u, args.v, Fraction(args.eta1))
+    out = single_edge_correction(f, args.u, args.v, _fraction(args.eta1))
     _write(args.out, fileio.dump_sym_cochain(out))
     return 0
 
@@ -238,13 +245,13 @@ def cmd_sym_good_check(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_experiment_run(args) -> int:
     config = ExperimentConfig(
         seed=args.seed,
-        epsilon=Fraction(args.epsilon),
+        epsilon=_fraction(args.epsilon),
         fiber=args.fiber,
         extra=args.extra,
         cocycle_mode=args.mode,

@@ -11,12 +11,12 @@ experiment and insists on the proved inequality; a violation raises
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import (
     AlmostAction,
+    _central_relations,
     action_distance,
     apply_word,
     defect,
@@ -325,9 +325,8 @@ def extension_from_cocycle(
     gens, pairs, edge_relations = _edge_presentation(
         x, tree, lambda cell: ((tau, 1),) if phi(cell) else ()
     )
-    relations: list[Word] = [((tau, 1), (tau, 1))]
-    relations += [((tau, 1), (g, 1), (tau, -1), (g, -1)) for g in gens]
-    return Presentation(tuple(gens) + (tau,), tuple(relations + edge_relations), tuple(pairs))
+    relations = _central_relations(gens, tau) + edge_relations
+    return Presentation(tuple(gens) + (tau,), tuple(relations), tuple(pairs))
 
 
 def adjust_section(phi: F2Cochain, psi1: F2Cochain) -> F2Cochain:
@@ -379,16 +378,4 @@ def cover_tree(cov: Covering, tree: RootedTree, v0: int) -> RootedTree:
     for (a, b) in y.cells(1):
         if a in comp and (a, b) not in chosen and dsu.union(a, b):
             chosen.add((a, b))
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for (a, b) in chosen:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = {v0: v0}
-    queue = deque([v0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return RootedTree(root=v0, parent=parent, tree_edges=frozenset(chosen))
+    return spanning_tree(SimplicialComplex.from_cells([(v,) for v in comp] + list(chosen)), v0)

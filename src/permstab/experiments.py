@@ -23,7 +23,7 @@ from .complexes import (
     spanning_tree,
 )
 from .covers import ExperimentReport, contradiction_experiment, extension_from_cocycle
-from .errors import PermstabError
+from .errors import BoundViolation, PermstabError
 from .fileio import csv_text, format_decimal, format_fraction
 from .perms import ErrPerm, SignedPerm, compose, hamming, signed_encode
 from .rng import SplitMix64
@@ -313,7 +313,12 @@ class RunRow:
 def run_pipeline(config: ExperimentConfig) -> tuple[RunRow, ExperimentReport]:
     """normalize -> quotient -> cover -> sign cochain -> distances."""
     x, phi, raw, f = build_instance(config)
-    psi, _stage = normalize_sofic_approx(raw)
+    psi, stage = normalize_sofic_approx(raw)
+    if not stage.holds:
+        raise BoundViolation(
+            f"normalization bound failed at seed {config.seed}, epsilon {config.epsilon},"
+            f" fiber {config.fiber}, extra {config.extra}"
+        )
     report = contradiction_experiment(x, phi, psi, f)
     row = RunRow(
         config=config,

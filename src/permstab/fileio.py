@@ -227,6 +227,8 @@ def load_sym_cochain(text: str) -> SymCochain:
         degree, n = int(head["degree"]), int(head["n"])
     except (KeyError, ValueError):
         raise FormatError("expected a 'sym degree=i n=N' header", lines[0][0]) from None
+    if n < 1:
+        raise FormatError(f"n={n} must be at least 1", lines[0][0])
     if len(lines) < 2 or lines[1][1] != "complex":
         raise FormatError("expected an inline complex section", lines[min(1, len(lines) - 1)][0])
     complex_lineno = lines[1][0]

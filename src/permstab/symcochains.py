@@ -155,11 +155,7 @@ def identity_cochain(x: SimplicialComplex, degree: int, n: int) -> SymCochain:
 
 def vertex_coboundary(x: SimplicialComplex, g: dict) -> SymCochain:
     """Edge cochain u->v given by g(v)^-1 after g(u); an exact cocycle."""
-    n = next(iter(g.values())).n
-    values = {}
-    for (u, v) in x.cells(1):
-        values[(u, v)] = g[v].inverse().compose(g[u])
-    return SymCochain(x, 1, n, values)
+    return twist(identity_cochain(x, 1, next(iter(g.values())).n), g)
 
 
 def twist(f: SymCochain, h: dict) -> SymCochain:
@@ -201,22 +197,18 @@ def weight(f: SymCochain) -> Fraction:
 def triangle_composite(f: SymCochain, oriented) -> PartialInj:
     """Value of the closed walk u -> v -> w -> u."""
     u, v, w = oriented
-    out = f.value_on((u, v))
-    out = f.value_on((v, w)).compose(out)
-    return f.value_on((w, u)).compose(out)
+    return _walk_composite(f, (u, v, w, u))
+
+
+def _moved(comp: PartialInj) -> list:
+    """Indices where ``comp`` is defined and not the identity, lowest first."""
+    return [j for j, val in enumerate(comp.images) if val is not None and val != j]
 
 
 def _violating_indices(f: SymCochain, tri: Cell) -> set:
     """Indices whose value is defined and moves around the triangle in either orientation."""
     u, v, w = tri
-    bad = set()
-    for orient in ((u, v, w), (u, w, v)):
-        comp = triangle_composite(f, orient)
-        for j in range(f.n):
-            val = comp.apply(j)
-            if val is not None and val != j:
-                bad.add(j)
-    return bad
+    return {j for orient in ((u, v, w), (u, w, v)) for j in _moved(triangle_composite(f, orient))}
 
 
 def sym_delta_weight(f: SymCochain, strict: bool = False) -> tuple[Fraction, Fraction]:
@@ -235,13 +227,8 @@ def sym_delta_weight(f: SymCochain, strict: bool = False) -> tuple[Fraction, Fra
     plain = Fraction(0)
     robust = Fraction(0)
     for pos, tri in enumerate(x.cells(2)):
-        u, v, w = tri
-        comp = triangle_composite(f, (u, v, w))
-        bad = 0
-        for j in range(f.n):
-            val = comp.apply(j)
-            if (val is None and strict) or (val is not None and val != j):
-                bad += 1
+        comp = triangle_composite(f, tri)
+        bad = len(_moved(comp)) + (comp.images.count(None) if strict else 0)
         if bad:
             plain += Fraction(nums[pos], den)
         robust += Fraction(nums[pos] * bad, den * f.n)
@@ -298,30 +285,42 @@ def eta_minimality_check(
         return MinimalityVerdict(False, None, True, tried)
 
     rng = SplitMix64(seed)
-    swaps = [(a, b) for a in range(f.n) for b in range(a + 1, f.n)]
     for _ in range(random_trials):
         h = {v: PartialInj.from_perm(rng.permutation(f.n)) for v in verts}
         best = score(h)
         tried += 1
+        if best <= 0:
+            h, best, steps = _descend(h, best, score, f.n, lambda s: s > 0)
+            tried += steps
         if best > 0:
             return MinimalityVerdict(True, h, False, tried)
-        improved = True
-        while improved:
-            improved = False
-            for v in verts:
-                for a, b in swaps:
+    return MinimalityVerdict(False, None, False, tried)
+
+
+def _descend(h: dict, best, score, n: int, stop):
+    """First-improvement transposition descent on a vertex assignment.
+
+    Vertices are scanned in ``h``'s order, then the index pairs a < b; a swap
+    of two images is kept only when it strictly raises ``score``.  Returns
+    (h, best, candidates tried), early once ``stop(best)`` holds.
+    """
+    tried = 0
+    improved = True
+    while improved:
+        improved = False
+        for v in list(h):
+            for a in range(n):
+                for b in range(a + 1, n):
                     imgs = list(h[v].images)
                     imgs[a], imgs[b] = imgs[b], imgs[a]
-                    cand = dict(h)
-                    cand[v] = PartialInj(f.n, tuple(imgs))
+                    cand = {**h, v: PartialInj(n, tuple(imgs))}
                     s = score(cand)
                     tried += 1
                     if s > best:
-                        h, best = cand, s
-                        improved = True
-                        if best > 0:
-                            return MinimalityVerdict(True, h, False, tried)
-    return MinimalityVerdict(False, None, False, tried)
+                        h, best, improved = cand, s, True
+                        if stop(best):
+                            return h, best, tried
+    return h, best, tried
 
 
 def localize(f: SymCochain, s) -> SymCochain:
@@ -397,13 +396,7 @@ def _triangles_at(x: SimplicialComplex, v: int):
 
 
 def _index_violation_count(f: SymCochain, tris, i: int) -> int:
-    bad = 0
-    for tri in tris:
-        comp = triangle_composite(f, tri)
-        val = comp.apply(i)
-        if val is not None and val != i:
-            bad += 1
-    return bad
+    return sum(i in _moved(triangle_composite(f, tri)) for tri in tris)
 
 
 def vertex_link_correction(
@@ -435,12 +428,7 @@ def vertex_link_correction(
 
     def objective(g: dict) -> int:
         cand = with_assignment(f, g)
-        return sum(
-            1
-            for tri in tris
-            for i in range(f.n)
-            if (val := triangle_composite(cand, tri).apply(i)) is not None and val != i
-        )
+        return sum(len(_moved(triangle_composite(cand, tri))) for tri in tris)
 
     if len(link_verts) <= 3 and f.n <= 4:
         g = min(_assignments(link_verts, f.n), key=objective)  # the first minimum wins
@@ -449,20 +437,8 @@ def vertex_link_correction(
         g = {u: f.value_on((u, v)).completed() for u in link_verts}
         best = objective(g)
         for attempt in range(3):
-            improved = True
-            while improved:
-                improved = False
-                for u in link_verts:
-                    for a in range(f.n):
-                        for b in range(a + 1, f.n):
-                            imgs = list(g[u].images)
-                            imgs[a], imgs[b] = imgs[b], imgs[a]
-                            cand = dict(g)
-                            cand[u] = PartialInj(f.n, tuple(imgs))
-                            obj = objective(cand)
-                            if obj < best:
-                                g, best = cand, obj
-                                improved = True
+            g, neg, _ = _descend(g, -best, lambda h: -objective(h), f.n, lambda s: False)
+            best = -neg
             if attempt < 2:
                 cand = {u: PartialInj.from_perm(rng.permutation(f.n)) for u in link_verts}
                 if objective(cand) < best:
@@ -754,9 +730,8 @@ def good_function_check(
             enumerated += 1
             dom = _walk_domain(f, cur)
             comp = value(cur)
-            for j in sorted(dom):
-                val = comp.apply(j)
-                if val is not None and val != j:
+            for j in _moved(comp):
+                if j in dom:
                     return GoodFunctionReport(
                         False,
                         (Cycle(x, cur), j),

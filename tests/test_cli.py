@@ -109,6 +109,8 @@ LOADER_ERRORS = [
     (fileio.load_sym_cochain, "sym degree=1 n=3\n", "^line 1: expected an inline complex section$"),
     (fileio.load_sym_cochain, "sym degree1 n=3\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: expected a 'sym"),
     (fileio.load_sym_cochain, "sym degree=1\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: expected a 'sym"),
+    (fileio.load_sym_cochain, "sym degree=1 n=0\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: n=0 must be at least 1$"),
+    (fileio.load_sym_cochain, "sym degree=1 n=-2\ncomplex\ndim 1\n0 1\nendcomplex\n", "^line 1: n=-2 must be at least 1$"),
     (lambda text: fileio.load_cochain(text, full_triangle()), "dim x\n0 1\n", "^line 1: bad header 'dim x'$"),
     (fileio.load_complex, "dim x\n0 1\n", "^line 1: bad header 'dim x'$"),
     (fileio.load_perm, "size x\n0 -> 1\n", "^line 1: bad header 'size x'$"),
@@ -343,6 +345,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["complex", "info", str(bad)]) == 1
     assert main(["bogus"]) == 1
     capsys.readouterr()
+    x = full_triangle()
+    f = tmp_path / "f.sym"
+    f.write_text(fileio.dump_sym_cochain(SymCochain(x, 1, 2, {c: PartialInj.identity(2) for c in x.cells(1)})))
+    bad_fractions = [  # a fraction argument that does not parse is an input error, not a traceback
+        ["sym", "correct-edge", str(f), "0", "1", "--eta1", "abc"],
+        ["sym", "correct-edge", str(f), "0", "1", "--eta1", "1/0"],
+        ["experiment", "run", "--epsilon", "x"],
+        ["experiment", "sweep", "--epsilons", "0,x"],
+    ]
+    for args in bad_fractions:
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_cover_experiment(tmp_path):

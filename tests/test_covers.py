@@ -365,6 +365,26 @@ def test_cover_tree_hexagon():
     assert len(forest) == 4  # two lifts of each of the two tree edges
 
 
+def test_cover_tree_keeps_every_lift_of_the_base_tree():
+    from permstab.experiments import ExperimentConfig, build_instance
+
+    for fiber in (3, 6, 12):
+        for seed in range(10):
+            x, _phi, _raw, f = build_instance(ExperimentConfig(seed=seed, epsilon=Fraction(0), fiber=fiber))
+            cov = build_cover(x, f)
+            for root in x.vertices:
+                tree = spanning_tree(x, root)
+                v0 = cov.vertex_id[(root, 0)]
+                lifted = cover_tree(cov, tree, v0)
+                comp = lifted.component
+                assert lifted.root == v0
+                assert all(tuple(sorted((w, p))) in lifted.tree_edges for w, p in lifted.parent.items() if w != v0)
+                assert comp == spanning_tree(cov.total, v0).component
+                assert len(lifted.tree_edges) == len(comp) - 1
+                lifts = {e for e in cov.total.cells(1) if e[0] in comp and cov.project_cell(e) in tree.tree_edges}
+                assert lifts <= lifted.tree_edges
+
+
 def test_double_cover_of_projective_plane():
     # the nontrivial mod-2 class lifts the projective plane to the sphere
     from permstab.cohomology import cocycle_space, coboundary_space

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -6,7 +7,10 @@ import pytest
 
 from permstab.actions import defect, is_sign_commuting
 from permstab.actions import AlmostAction
+from permstab import experiments
+from permstab.cli import main
 from permstab.cohomology import F2Cochain
+from permstab.errors import BoundViolation
 from permstab.complexes import Presentation, annulus, annulus_winding_cocycle, edge_gen, hollow_polygon, spanning_tree
 from permstab.experiments import (
     ExperimentConfig,
@@ -154,3 +158,18 @@ def test_run_pipeline_report_consistency():
     assert row.bound == row.eps + 4 * row.rho
     assert row.dw == report.dw_best <= report.dw_total
     assert report.dw_total <= report.event1 + report.event2
+
+
+def test_run_pipeline_refuses_a_failed_normalization_bound(monkeypatch, capsys):
+    real = experiments.normalize_sofic_approx
+
+    def failing(action):
+        out, report = real(action)
+        return out, dataclasses.replace(report, holds=False)
+
+    monkeypatch.setattr(experiments, "normalize_sofic_approx", failing)
+    config = ExperimentConfig(seed=3, epsilon=Fraction(1, 20), fiber=8, extra=1)
+    with pytest.raises(BoundViolation, match="^normalization bound failed at seed 3, epsilon 1/20, fiber 8, extra 1$"):
+        run_pipeline(config)
+    assert main(["--csv", "-", "experiment", "sweep", "--epsilons", "0", "--runs", "1", "--fiber", "6"]) == 2
+    assert capsys.readouterr().err.startswith("bound violation: normalization bound failed at seed 0")

@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permstab.complexes import SimplicialComplex, boundary_of_simplex, full_triangle, hollow_polygon
+from permstab.complexes import (
+    SimplicialComplex,
+    annulus,
+    boundary_of_simplex,
+    face_weight,
+    full_triangle,
+    hollow_polygon,
+)
 from permstab.errors import PermstabError
 from permstab.rng import SplitMix64
 from permstab.symcochains import (
@@ -11,6 +19,7 @@ from permstab.symcochains import (
     PartialInj,
     SamplerGraph,
     SymCochain,
+    _index_violation_count,
     count_joint_violations,
     cycle_domain,
     enumerate_steps,
@@ -143,6 +152,8 @@ def test_vertex_coboundary_is_cocycle():
     x = boundary_of_simplex(3)
     g = {v: PartialInj.from_perm(rng.permutation(4)) for v in x.vertices}
     f = vertex_coboundary(x, g)
+    for (u, v), val in f.values.items():  # u -> v is g(v)^-1 after g(u)
+        assert val.images == tuple(g[v].images.index(g[u].images[j]) for j in range(4))
     assert sym_delta_weight(f) == (0, 0)
     assert count_joint_violations(f) == 0
 
@@ -297,6 +308,71 @@ def test_edge_correction_empty_link_warns():
 
 def wheel_complex():
     return SimplicialComplex.build_from_top_faces([(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+
+
+# -- triangle statistics against their definitions ------------------------------
+
+
+PURE_SURFACES = [
+    full_triangle(),
+    boundary_of_simplex(3),
+    wheel_complex(),
+    SimplicialComplex.build_from_top_faces([(0, 1, 2), (2, 3, 4)]),
+    annulus(),
+]
+
+
+@st.composite
+def partial_cochains(draw):
+    """A pure 2-complex, an edge cochain of random partial injections, and oriented triangles."""
+    x = draw(st.sampled_from(PURE_SURFACES))
+    n = draw(st.integers(1, 4))
+    values = {}
+    for cell in x.cells(1):
+        perm = draw(st.permutations(range(n)))
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values[cell] = PartialInj(n, tuple(p if k else None for p, k in zip(perm, kept)))
+    tris = [tuple(draw(st.permutations(t))) for t in x.cells(2)]
+    return SymCochain(x, 1, n, values), tris
+
+
+def folded_images(f, walk):
+    """Left fold of the edge values' images along a closed walk, index by index."""
+    out = []
+    for j in range(f.n):
+        cur = j
+        for a, b in zip(walk, walk[1:]):
+            cur = None if cur is None else f.value_on((a, b)).images[cur]
+        out.append(cur)
+    return tuple(out)
+
+
+def moved_by(images):
+    return {j for j, val in enumerate(images) if val is not None and val != j}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=partial_cochains())
+def test_triangle_statistics_match_their_definitions(case):
+    f, tris = case
+    x = f.complex
+    for tri in tris:
+        assert triangle_composite(f, tri).images == folded_images(f, tri + tri[:1])
+    for i in range(f.n):
+        want = sum(i in moved_by(folded_images(f, tri + tri[:1])) for tri in tris)
+        assert _index_violation_count(f, tris, i) == want
+    joint = 0
+    for strict in (False, True):
+        plain = robust = Fraction(0)
+        for u, v, w in x.cells(2):
+            images = folded_images(f, (u, v, w, u))
+            bad = len(moved_by(images)) + (images.count(None) if strict else 0)
+            plain += face_weight(x, (u, v, w)) if bad else 0
+            robust += face_weight(x, (u, v, w)) * Fraction(bad, f.n)
+            if not strict:
+                joint += len(moved_by(images) | moved_by(folded_images(f, (u, w, v, u))))
+        assert sym_delta_weight(f, strict=strict) == (plain, robust)
+    assert count_joint_violations(f) == joint
 
 
 def test_vertex_correction_fixed_point():
@@ -511,6 +587,17 @@ def test_good_function_flags_planted_violation():
     cyc, j = report.counterexample
     val = evaluate_cycle(f, cyc).apply(j)
     assert val is not None and val != j
+
+
+def test_good_function_ignores_moves_outside_the_edgewise_domain():
+    # around 0 -> 1 -> 2 -> 0 the composite sends 0 to 1, but no index is
+    # defined on all three edges, so this is no counterexample
+    x = full_triangle()
+    f = SymCochain(x, 1, 2, {(0, 1): PartialInj(2, (1, None)), (1, 2): PartialInj(2, (None, 0)), (0, 2): PartialInj(2, (None, 0))})
+    loop = Cycle(x, (0, 1, 2, 0))
+    assert evaluate_cycle(f, loop).images == (1, None) and cycle_domain(f, loop) == frozenset()
+    report = good_function_check(f, max_len=3)
+    assert report.ok and report.counterexample is None and report.cycles_enumerated == 15
 
 
 # -- samplers -----------------------------------------------------------------------------

@@ -36,11 +36,18 @@ MUTATIONS = (
         ["tests/test_covers.py::test_connected_components_match_union_find"],
     ),
     (
-        "cover-tree-whole-cover",
+        "cover-tree-without-forest-first",
         PKG + "covers.py",
-        "comp = spanning_tree(y, v0).component",
-        "comp = frozenset(y.vertices)",
-        ["tests/test_covers.py::test_cover_tree_disconnected_cover"],
+        "    for (a, b) in forest:\n        dsu.union(a, b)\n        chosen.add((a, b))\n",
+        "",
+        ["tests/test_covers.py::test_cover_tree_keeps_every_lift_of_the_base_tree"],
+    ),
+    (
+        "cover-tree-rooted-elsewhere",
+        PKG + "covers.py",
+        "+ list(chosen)), v0)",
+        "+ list(chosen)), min(comp))",
+        ["tests/test_covers.py::test_cover_tree_keeps_every_lift_of_the_base_tree"],
     ),
     (
         "tracked-short-circuited-by-edge-test",
@@ -141,12 +148,92 @@ MUTATIONS = (
         "        pass\n    return _walk_domain",
         ["tests/test_steps_diff.py::test_walk_composite_and_domain_match_old"],
     ),
+    # symcochains: one reading of moved indices, one descent, one walk composite, one gauge shift
     (
         "violations-count-undefined",
         PKG + "symcochains.py",
-        "if val is not None and val != j:\n                bad.add(j)",
-        "if val != j:\n                bad.add(j)",
-        ["tests/test_sym.py"],
+        "if val is not None and val != j]",
+        "if val != j]",
+        ["tests/test_sym.py::test_triangle_statistics_match_their_definitions"],
+    ),
+    (
+        "fixed-points-counted-as-moved",
+        PKG + "symcochains.py",
+        "if val is not None and val != j]",
+        "if val is not None]",
+        ["tests/test_sym.py::test_triangle_statistics_match_their_definitions"],
+    ),
+    (
+        "strict-flag-flipped",
+        PKG + "symcochains.py",
+        "comp.images.count(None) if strict else 0",
+        "comp.images.count(None) if not strict else 0",
+        ["tests/test_sym.py::test_triangle_statistics_match_their_definitions"],
+    ),
+    (
+        "counterexample-ignores-domain",
+        PKG + "symcochains.py",
+        "                if j in dom:\n",
+        "                if True:\n",
+        ["tests/test_sym.py::test_good_function_ignores_moves_outside_the_edgewise_domain"],
+    ),
+    (
+        "descent-self-swap",
+        PKG + "symcochains.py",
+        "for b in range(a + 1, n):",
+        "for b in range(a, n):",
+        ["tests/test_simplify_diff.py::test_eta_minimality_matches_old_search"],
+    ),
+    (
+        "descent-stop-ignored",
+        PKG + "symcochains.py",
+        "if stop(best):",
+        "if False:",
+        ["tests/test_simplify_diff.py::test_eta_minimality_matches_old_search"],
+    ),
+    (
+        "triangle-open-walk",
+        PKG + "symcochains.py",
+        "_walk_composite(f, (u, v, w, u))",
+        "_walk_composite(f, (u, v, w))",
+        ["tests/test_sym.py::test_triangle_statistics_match_their_definitions"],
+    ),
+    (
+        "gauge-shift-inverted",
+        PKG + "symcochains.py",
+        "return twist(identity_cochain(x, 1, next(iter(g.values())).n), g)",
+        "return twist(identity_cochain(x, 1, next(iter(g.values())).n), {v: p.inverse() for v, p in g.items()})",
+        ["tests/test_sym.py::test_vertex_coboundary_is_cocycle"],
+    ),
+    # actions: one statement of the central-extension relations
+    (
+        "tau-squared-dropped",
+        PKG + "actions.py",
+        "return [((tau, 1), (tau, 1))] + [",
+        "return [",
+        ["tests/test_simplify_diff.py::test_presentations_match_old_builders_seeded"],
+    ),
+    # boundary checks: fraction arguments, the sym index count, the normalization bound
+    (
+        "fraction-division-by-zero-escapes",
+        PKG + "cli.py",
+        "except (ValueError, ZeroDivisionError):",
+        "except ValueError:",
+        ["tests/test_cli.py::test_cli_exit_codes"],
+    ),
+    (
+        "sym-header-accepts-n-zero",
+        PKG + "fileio.py",
+        "if n < 1:",
+        "if n < 0:",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "pipeline-ignores-normalization-bound",
+        PKG + "experiments.py",
+        "if not stage.holds:",
+        "if False:",
+        ["tests/test_experiments.py::test_run_pipeline_refuses_a_failed_normalization_bound"],
     ),
     # perms: the involution check squares once
     (
