@@ -24,7 +24,15 @@ from .cohomology import (
     distance_to_subspace,
     weighted_norm,
 )
-from .perms import ErrPerm, SignedPerm, commute_with_sign_flip, fix_fixed_point_free, fix_to_involution, hamming
+from .perms import (
+    ErrPerm,
+    commute_with_sign_flip,
+    commutes_with_flip,
+    fix_fixed_point_free,
+    fix_to_involution,
+    hamming,
+    sign_flip,
+)
 from .actions import (
     AlmostAction,
     action_distance,

@@ -18,12 +18,13 @@ from .errors import PermstabError
 from .perms import (
     ERROR,
     ErrPerm,
-    SignedPerm,
     commute_with_sign_flip,
+    commutes_with_flip,
     compose,  # noqa: F401  kept as actions.compose, which perfbench's tracer wraps
     fix_fixed_point_free,
     fix_to_involution,
     hamming,
+    sign_flip,
     signed_encode,
 )
 
@@ -209,8 +210,7 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
             old = perm.relabel(relabel, size=perm.size)
         stage2[g] = new
         d2 = max(d2, hamming(old, new))
-    flip = SignedPerm.sign_flip(twice // 2)
-    if stage2[tau].images != flip.to_err_perm().images:
+    if stage2[tau].images != sign_flip(twice // 2).images:
         raise PermstabError("internal: tau is not the sign flip after stage 2")
 
     # stage 3: conjugation-commuting repair, independently per generator
@@ -220,7 +220,7 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
         if g == tau:
             stage3[g] = perm
             continue
-        repaired = commute_with_sign_flip(SignedPerm.from_err_perm(perm)).to_err_perm()
+        repaired = commute_with_sign_flip(perm)
         d3 = max(d3, hamming(repaired, perm))
         stage3[g] = repaired
 
@@ -246,11 +246,10 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
 def is_sign_commuting(action: AlmostAction, tau: str = "tau") -> bool:
     if action.space % 2 != 0:
         return False
-    flip = SignedPerm.sign_flip(action.space // 2).to_err_perm()
-    if action.image(tau) != flip:
+    if action.image(tau) != sign_flip(action.space // 2):
         return False
     return all(
-        SignedPerm.from_err_perm(action.image(g)).commutes_with_flip()
+        commutes_with_flip(action.image(g))
         for g in action.generators
         if g != tau and action.image(g).is_total
     )
@@ -275,8 +274,7 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
     if action.space % 2 != 0:
         raise PermstabError("need an action on a signed double")
     n = action.space // 2
-    flip = SignedPerm.sign_flip(n).to_err_perm()
-    if action.image(tau) != flip:
+    if action.image(tau) != sign_flip(n):
         raise PermstabError(f"{tau!r} does not act as the sign flip")
     images = {}
     for g in action.generators:
@@ -285,10 +283,9 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
         perm = action.image(g)
         if not perm.is_total:
             raise PermstabError(f"image of {g!r} is partial")
-        signed = SignedPerm.from_err_perm(perm)
-        if not signed.commutes_with_flip():
+        if not commutes_with_flip(perm):
             raise PermstabError(f"image of {g!r} does not commute with the sign flip")
-        images[g] = ErrPerm.from_one_line(tuple(signed.apply(2 * x) >> 1 for x in range(n)))
+        images[g] = ErrPerm.from_one_line(tuple(perm.apply(2 * x) >> 1 for x in range(n)))
     return AlmostAction(quotient_presentation(action.presentation, tau), n, images)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .actions import AlmostAction, normalize_sofic_approx
+from .actions import AlmostAction, defect, normalize_sofic_approx
 from .cohomology import F2Cochain, coboundary, zero_cochain
 from .complexes import (
     RootedTree,
@@ -20,25 +20,30 @@ from .complexes import (
     annulus,
     annulus_winding_cocycle,
     edge_gen,
+    fundamental_group_presentation,
     spanning_tree,
 )
 from .covers import ExperimentReport, contradiction_experiment, extension_from_cocycle
 from .errors import BoundViolation, PermstabError
 from .fileio import csv_text, format_decimal, format_fraction
-from .perms import ErrPerm, SignedPerm, compose, hamming, signed_encode
+from .perms import ErrPerm, compose, hamming, power, sign_flip, signed_encode
 from .rng import SplitMix64
+
+
+def _subset_shuffle(rng: SplitMix64, n: int, k: int):
+    """Pairs (a, b): a runs over a uniform k-subset of range(n) in increasing order, b over its shuffle."""
+    support = sorted(rng.sample(range(n), k))
+    shuffled = list(support)
+    rng.shuffle(shuffled)
+    return zip(support, shuffled)
 
 
 def _support_perm(space: int, eps: Fraction, rng: SplitMix64) -> ErrPerm:
     """Uniform permutation of a random floor(eps*space)-subset, identity elsewhere."""
     k = int(eps * space)
     mapping = {i: i for i in range(space)}
-    if k >= 2:
-        support = sorted(rng.sample(range(space), k))
-        shuffled = list(support)
-        rng.shuffle(shuffled)
-        for a, b in zip(support, shuffled):
-            mapping[a] = b
+    if k >= 2:  # a single point cannot move, and drawing it would shift the seeded stream
+        mapping.update(_subset_shuffle(rng, space, k))
     return ErrPerm.from_mapping(mapping, space)
 
 
@@ -103,11 +108,8 @@ def signed_noise_injector(
         sub = rng.spawn(g)
         base = {i: i for i in range(n)}
         signs = {i: 0 for i in range(n)}
-        if k >= 1:
-            support = sorted(sub.sample(range(n), k))
-            shuffled = list(support)
-            sub.shuffle(shuffled)
-            for a, b in zip(support, shuffled):
+        if k >= 1:  # unlike a permutation, one point can still flip its sign
+            for a, b in _subset_shuffle(sub, n, k):
                 base[a] = b
                 signs[a] = sub.below(2)
         table = {}
@@ -198,10 +200,6 @@ def exact_action_from_int_cocycle(
     The exponent is an integer edge cocycle adjusted to vanish on the tree,
     so every relation of the edge presentation holds exactly.
     """
-    from .actions import defect
-    from .complexes import fundamental_group_presentation
-    from .perms import power
-
     pres = fundamental_group_presentation(x, tree)
     adjusted = tree_adjusted_cocycle(x, tree, cocycle)
     images = {}
@@ -231,7 +229,7 @@ def sign_twisted_lift(
     if phi is None:
         raise PermstabError("need a complex with triangles")
     pres = extension_from_cocycle(x, tree, phi, tau)
-    images = {tau: SignedPerm.sign_flip(n).to_err_perm()}
+    images = {tau: sign_flip(n)}
     for (a, b) in x.cells(1):
         bit = edge_signs((a, b))
         for (u, v) in ((a, b), (b, a)):

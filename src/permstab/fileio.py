@@ -1,21 +1,24 @@
-"""Line-based text formats for complexes, cochains, permutations and actions.
+"""Line-based text formats for complexes, cochains, actions and sym cochains.
 
 Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 
 * complex: ``dim d`` header, then one maximal face per line as
   space-separated vertex indices.
 * cochain: ``dim k`` header, then one supported cell per line.
-* permutation: one ``i -> j`` line per point; an optional ``size m`` header
-  fixes the underlying-set cardinality.
-* action: optional ``space m`` header, then ``generator NAME`` headers each
-  followed by that generator's permutation block.
+* action: an optional ``space m`` line, then ``generator NAME`` headers, one
+  per generator of the presentation, each followed by that generator's
+  ``i -> j`` lines, one per point of its domain.  Without ``space`` the
+  underlying set is as large as the largest block.
 * presentation: ``gen NAME`` lines, ``pair A B`` lines for formal inverse
   pairs, and ``rel w1 w2 ...`` lines where a letter is ``NAME`` or ``NAME^-1``.
 * sym cochain: ``sym degree=i n=N`` header, an inline ``complex`` section,
   then ``cell v0 v1 ...`` headers each followed by exactly one ``idx -> img``
   or ``idx -> undef`` line for every index in ``range(N)``.
 
-A malformed line or header raises ``FormatError`` with its line number.
+In actions and sym cochains every content line after the preamble belongs to
+a block: a line before the first block header and a header repeating an
+earlier key are refused.  A malformed line or header raises ``FormatError``
+with its line number.
 """
 
 from __future__ import annotations
@@ -64,6 +67,34 @@ def _map_line(line: str, lineno: int) -> tuple[int, int]:
         raise FormatError("expected 'i -> j'", lineno) from None
 
 
+def _blocks(lines, keyword: str, parse_key):
+    """Cut numbered lines into ``keyword KEY`` blocks.
+
+    Yields ``(key, header line number, body lines)``, each block before the
+    next header is read; ``parse_key(rest of the header, line number)`` gives
+    the key.  A content line before the first header and a repeated key are
+    refused at their line.
+    """
+    head = keyword + " "
+    seen = set()
+    key = None
+    for lineno, line in lines:
+        if not line.startswith(head):
+            if key is None:
+                raise FormatError(f"index line before any '{keyword}' header", lineno)
+            body.append((lineno, line))
+            continue
+        if key is not None:
+            yield key, key_lineno, body
+        key = parse_key(line.split(None, 1)[1], lineno)
+        if key in seen:
+            raise FormatError(f"{keyword} {key} given twice", lineno)
+        seen.add(key)
+        key_lineno, body = lineno, []
+    if key is not None:
+        yield key, key_lineno, body
+
+
 def dump_complex(x: SimplicialComplex) -> str:
     out = [f"dim {x.dim}"]
     for face in x.facets():
@@ -105,34 +136,6 @@ def load_cochain(text: str, x: SimplicialComplex) -> F2Cochain:
     return cochain_from_support(x, k, cells)
 
 
-def dump_perm(perm: ErrPerm) -> str:
-    out = [f"size {perm.size}"]
-    for x, y in zip(perm.domain, perm.images):
-        out.append(f"{x} -> {y}")
-    return "\n".join(out) + "\n"
-
-
-def _parse_perm_lines(pairs, size):
-    """The permutation of ``(i, j, lineno)`` map lines; a repeated point names its own line."""
-    mapping = {}
-    for x, y, lineno in pairs:
-        if x in mapping:
-            raise FormatError(f"point {x} mapped twice", lineno)
-        mapping[x] = y
-    return ErrPerm.from_mapping(mapping, size)
-
-
-def load_perm(text: str) -> ErrPerm:
-    size = None
-    pairs = []
-    for lineno, line in _lines(text):
-        if line.startswith("size "):
-            size = _header_int(line, lineno)
-        else:
-            pairs.append((*_map_line(line, lineno), lineno))
-    return _parse_perm_lines(pairs, size)
-
-
 def dump_action(action: AlmostAction) -> str:
     out = [f"space {action.space}"]
     for g in action.generators:
@@ -144,31 +147,28 @@ def dump_action(action: AlmostAction) -> str:
 
 
 def load_action(text: str, presentation: Presentation) -> AlmostAction:
+    lines = list(_lines(text))
     space = None
-    images: dict[str, ErrPerm] = {}
-    current: str | None = None
-    pairs: list[tuple[int, int, int]] = []
+    if lines and lines[0][1].startswith("space "):
+        space = _header_int(lines[0][1], lines[0][0])
+        lines = lines[1:]
 
-    def flush():
-        if current is not None:
-            images[current] = _parse_perm_lines(pairs, space)
+    def generator(name: str, lineno: int) -> str:
+        if name not in presentation.generators:
+            raise FormatError(f"unknown generator {name!r}", lineno)
+        return name
 
-    for lineno, line in _lines(text):
-        if line.startswith("space "):
-            space = _header_int(line, lineno)
-        elif line.startswith("generator "):
-            flush()
-            current = line.split(None, 1)[1]
-            pairs = []
-        else:
-            pairs.append((*_map_line(line, lineno), lineno))
-    flush()
+    mappings = {}
+    for name, _, body in _blocks(lines, "generator", generator):
+        mapping = mappings[name] = {}
+        for lineno, line in body:
+            x, y = _map_line(line, lineno)
+            if x in mapping:
+                raise FormatError(f"point {x} mapped twice", lineno)
+            mapping[x] = y
     if space is None:
-        space = max((p.size for p in images.values()), default=0)
-    images = {
-        g: ErrPerm(space, p.domain, p.images) if p.size != space else p
-        for g, p in images.items()
-    }
+        space = max(map(len, mappings.values()), default=0)
+    images = {g: ErrPerm.from_mapping(mapping, space) for g, mapping in mappings.items()}
     return AlmostAction(presentation, space, images)
 
 
@@ -236,40 +236,28 @@ def load_sym_cochain(text: str) -> SymCochain:
     if end is None:
         raise FormatError("inline complex section has no 'endcomplex'", complex_lineno)
     x = _complex_from_lines(lines[2:end], complex_lineno)
+
+    def cell(rest: str, lineno: int) -> tuple[int, ...]:
+        return _int_tokens(rest.split(), lineno, "bad cell line")
+
     values = {}
-    current = None
-    current_lineno = 0
-    table: dict[int, int | None] = {}
-
-    def flush():
-        if current is not None:
-            if len(table) != n:
-                raise FormatError(f"cell block needs {n} index lines", current_lineno)
-            values[current] = PartialInj(n, tuple(table[i] for i in range(n)))
-
-    for lineno, line in lines[end + 1:]:
-        if line.startswith("cell "):
-            flush()
-            current = _int_tokens(line.split()[1:], lineno, "bad cell line")
-            if current in values:
-                raise FormatError(f"cell {current} given twice", lineno)
-            current_lineno = lineno
-            table = {}
-            continue
-        try:
-            lhs, rhs = line.split("->")
-            i = int(lhs)
-            img = None if rhs.strip() == "undef" else int(rhs)
-        except ValueError:
-            raise FormatError("expected 'idx -> img|undef'", lineno) from None
-        if current is None:
-            raise FormatError("index line before any 'cell' header", lineno)
-        if not 0 <= i < n:
-            raise FormatError(f"index {i} outside range({n})", lineno)
-        if i in table:
-            raise FormatError(f"index {i} given twice", lineno)
-        table[i] = img
-    flush()
+    for key, cell_lineno, body in _blocks(lines[end + 1:], "cell", cell):
+        table: dict[int, int | None] = {}
+        for lineno, line in body:
+            try:
+                lhs, rhs = line.split("->")
+                i = int(lhs)
+                img = None if rhs.strip() == "undef" else int(rhs)
+            except ValueError:
+                raise FormatError("expected 'idx -> img|undef'", lineno) from None
+            if not 0 <= i < n:
+                raise FormatError(f"index {i} outside range({n})", lineno)
+            if i in table:
+                raise FormatError(f"index {i} given twice", lineno)
+            table[i] = img
+        if len(table) != n:
+            raise FormatError(f"cell block needs {n} index lines", cell_lineno)
+        values[key] = PartialInj(n, tuple(table[i] for i in range(n)))
     return SymCochain(x, degree, n, values)
 
 

@@ -3,9 +3,9 @@
 An ``ErrPerm`` is a partial injection of integer labels together with the
 cardinality of its underlying set; evaluation outside the domain returns the
 distinguished ``ERROR`` element, which composition absorbs.  A genuine
-permutation of a set has ``len(domain) == size``.  ``SignedPerm`` carries the
-signed-point structure used by the sign-flip repair: point +x is encoded as
-2x and -x as 2x+1.
+permutation of a set has ``len(domain) == size``.  The signed double of
+range(n) used by the sign-flip repair is a permutation of range(2n): point +x
+is encoded as 2x and -x as 2x+1, so the sign flip sends p to p ^ 1.
 """
 
 from __future__ import annotations
@@ -192,44 +192,27 @@ def signed_encode(sign: int, x: int) -> int:
     return 2 * x + (1 if sign < 0 else 0)
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """A permutation of the signed double {+,-} x range(n), encoded on range(2n)."""
-
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != 2 * self.n or sorted(self.images) != list(range(2 * self.n)):
-            raise PermstabError("not a permutation of the signed double")
-
-    def apply(self, p: int) -> int:
-        return self.images[p]
-
-    @staticmethod
-    def sign_flip(n: int) -> "SignedPerm":
-        images = []
-        for x in range(n):
-            images += [signed_encode(-1, x), signed_encode(1, x)]
-        return SignedPerm(n, tuple(images))
-
-    @staticmethod
-    def from_err_perm(perm: ErrPerm) -> "SignedPerm":
-        if not (perm.is_total and perm.is_bijection and perm.size % 2 == 0):
-            raise PermstabError("need a genuine permutation of an even-size range")
-        if perm.domain != tuple(range(perm.size)):
-            raise PermstabError("signed points must be labeled 0..2n-1")
-        return SignedPerm(perm.size // 2, perm.images)
-
-    def to_err_perm(self) -> ErrPerm:
-        return ErrPerm.from_one_line(self.images)
-
-    def commutes_with_flip(self) -> bool:
-        return all(self.images[p ^ 1] == self.images[p] ^ 1 for p in range(2 * self.n))
+def sign_flip(n: int) -> ErrPerm:
+    """The sign flip of the signed double of range(n): +x <-> -x, i.e. p -> p ^ 1."""
+    return ErrPerm.from_one_line(tuple(p ^ 1 for p in range(2 * n)))
 
 
-def commute_with_sign_flip(zeta: SignedPerm) -> SignedPerm:
-    """Nearest sign-equivariant permutation.
+def _check_signed(perm: ErrPerm) -> None:
+    """Refuse anything but a permutation of range(2n), the encoded signed double."""
+    if not (perm.is_total and perm.is_bijection and perm.size % 2 == 0):
+        raise PermstabError("need a genuine permutation of an even-size range")
+    if perm.domain != tuple(range(perm.size)):
+        raise PermstabError("signed points must be labeled 0..2n-1")
+
+
+def commutes_with_flip(perm: ErrPerm) -> bool:
+    """Whether a permutation of the signed double commutes with the sign flip."""
+    _check_signed(perm)
+    return all(perm.images[p ^ 1] == perm.images[p] ^ 1 for p in range(perm.size))
+
+
+def commute_with_sign_flip(zeta: ErrPerm) -> ErrPerm:
+    """Nearest sign-equivariant permutation of the signed double.
 
     Keeps ``zeta`` on the points whose pair it already treats equivariantly;
     on the rest, the unsigned shadow is extended to a permutation by matching
@@ -237,7 +220,8 @@ def commute_with_sign_flip(zeta: SignedPerm) -> SignedPerm:
     with positive signs.  The distance moved is at most the distance of the
     sign-flip commutator from the identity.
     """
-    n = zeta.n
+    _check_signed(zeta)
+    n = zeta.size // 2
     good = [
         x
         for x in range(n)
@@ -258,4 +242,4 @@ def commute_with_sign_flip(zeta: SignedPerm) -> SignedPerm:
         else:
             images[signed_encode(1, x)] = signed_encode(1, shadow[x])
             images[signed_encode(-1, x)] = signed_encode(-1, shadow[x])
-    return SignedPerm(n, tuple(images))
+    return ErrPerm.from_one_line(images)

@@ -153,8 +153,15 @@ def identity_cochain(x: SimplicialComplex, degree: int, n: int) -> SymCochain:
     return SymCochain(x, degree, n, {c: PartialInj.identity(n) for c in x.cells(degree)})
 
 
+def _require_vertex_values(x: SimplicialComplex, h: dict) -> None:
+    missing = next((v for v in x.vertices if v not in h), None)
+    if missing is not None:
+        raise PermstabError(f"no value at vertex {missing}")
+
+
 def vertex_coboundary(x: SimplicialComplex, g: dict) -> SymCochain:
     """Edge cochain u->v given by g(v)^-1 after g(u); an exact cocycle."""
+    _require_vertex_values(x, g)
     return twist(identity_cochain(x, 1, next(iter(g.values())).n), g)
 
 
@@ -162,6 +169,7 @@ def twist(f: SymCochain, h: dict) -> SymCochain:
     """Gauge shift: the value from u to v becomes h(v)^-1 f(uv) h(u)."""
     if f.degree != 1:
         raise PermstabError("twisting is defined for edge cochains")
+    _require_vertex_values(f.complex, h)
     values = {}
     for (u, v) in f.complex.cells(1):
         values[(u, v)] = h[v].inverse().compose(f.values[(u, v)]).compose(h[u])

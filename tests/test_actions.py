@@ -16,7 +16,7 @@ from permstab.actions import (
 )
 from permstab.complexes import Presentation
 from permstab.errors import PermstabError
-from permstab.perms import ErrPerm, SignedPerm, compose, hamming, signed_encode
+from permstab.perms import ErrPerm, compose, hamming, sign_flip, signed_encode
 from permstab.rng import SplitMix64
 from test_perms import random_perm
 
@@ -135,7 +135,7 @@ def extension_pres(n_extra=1):
 
 def exact_signed_action(n, rng, n_extra=1):
     pres = extension_pres(n_extra)
-    images = {"tau": SignedPerm.sign_flip(n).to_err_perm()}
+    images = {"tau": sign_flip(n)}
     for i in range(n_extra):
         base = random_perm(rng, range(n))
         table = {}
@@ -154,7 +154,7 @@ def test_normalize_exact_action_is_untouched():
     assert report.stage2_distance == 0
     assert report.stage3_distance == 0
     assert report.defect_out == 0
-    assert out.image("tau") == SignedPerm.sign_flip(5).to_err_perm()
+    assert out.image("tau") == sign_flip(5)
     assert is_sign_commuting(out)
 
 
@@ -167,7 +167,7 @@ def test_normalize_repairs_transposed_flip():
     images["tau"] = spoiled
     bad = AlmostAction(action.presentation, 100, images)
     out, report = normalize_sofic_approx(bad)
-    assert out.image("tau") == SignedPerm.sign_flip(50).to_err_perm()
+    assert out.image("tau") == sign_flip(50)
     assert is_sign_commuting(out)
     assert report.defect_out <= report.bound
     assert report.stage1_distance == hamming(compose(spoiled, spoiled), ErrPerm.identity(100))
@@ -182,7 +182,7 @@ def test_normalize_seeded_noise_obeys_chained_bound():
         noisy, _ = noise_injector(action, Fraction(1, 8), seed=trial, skip=())
         out, report = normalize_sofic_approx(noisy)
         n_out = out.space // 2
-        assert out.image("tau") == SignedPerm.sign_flip(n_out).to_err_perm()
+        assert out.image("tau") == sign_flip(n_out)
         assert is_sign_commuting(out)
         assert report.defect_out <= report.bound
         # the final stage stays within the intermediate defect bound
@@ -212,7 +212,7 @@ def test_quotient_presentation_erases_tau():
 def test_induced_quotient_examples():
     n = 4
     pres = extension_pres(1)
-    flip = SignedPerm.sign_flip(n).to_err_perm()
+    flip = sign_flip(n)
     act = AlmostAction(pres, 2 * n, {"g0": flip, "tau": flip})
     quot = induced_quotient_action(act)
     assert quot.image("g0") == ErrPerm.identity(n)  # the projection kills signs
@@ -230,7 +230,7 @@ def test_induced_quotient_rejects_non_commuting():
     n = 3
     pres = extension_pres(1)
     images = {
-        "tau": SignedPerm.sign_flip(n).to_err_perm(),
+        "tau": sign_flip(n),
         "g0": ErrPerm.from_cycle((0, 2), 2 * n),  # moves +0 to +1 but not -0 to -1
     }
     act = AlmostAction(pres, 2 * n, images)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,12 +7,13 @@ import pytest
 from permstab.errors import PermstabError
 from permstab.perms import (
     ErrPerm,
-    SignedPerm,
     commute_with_sign_flip,
+    commutes_with_flip,
     compose,
     fix_fixed_point_free,
     fix_to_involution,
     hamming,
+    sign_flip,
     signed_encode,
 )
 from permstab.rng import SplitMix64
@@ -150,40 +152,55 @@ def test_fix_fixed_point_free_exhaustive():
 
 
 def test_sign_flip_structure():
-    flip = SignedPerm.sign_flip(3)
-    assert flip.commutes_with_flip()
+    flip = sign_flip(3)
+    assert commutes_with_flip(flip)
     assert flip.apply(signed_encode(1, 2)) == signed_encode(-1, 2)
 
 
+@pytest.mark.parametrize("check", [commutes_with_flip, commute_with_sign_flip])
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        (ErrPerm.from_cycle((0, 1, 2), 3), "need a genuine permutation of an even-size range"),
+        (ErrPerm(4, (0, 1, 2), (1, 0, 2)), "need a genuine permutation of an even-size range"),
+        (ErrPerm.from_mapping({0: 0, 1: 5}), "need a genuine permutation of an even-size range"),
+        (ErrPerm.from_mapping({1: 2, 2: 1}), "signed points must be labeled 0..2n-1"),
+    ],
+)
+def test_signed_double_is_a_permutation_of_an_even_range(check, perm, message):
+    with pytest.raises(PermstabError, match=f"^{re.escape(message)}$"):
+        check(perm)
+
+
 def test_commute_examples():
-    flip = SignedPerm.sign_flip(2)
+    flip = sign_flip(2)
     assert commute_with_sign_flip(flip) == flip  # central element
 
     # swaps +0 <-> +1 while fixing -0, -1: nothing is sign-consistent
-    zeta = SignedPerm(2, (2, 1, 0, 3))
+    zeta = ErrPerm.from_one_line((2, 1, 0, 3))
     sigma = commute_with_sign_flip(zeta)
-    assert sigma.to_err_perm() == ErrPerm.identity(4)
-    d = hamming(sigma.to_err_perm(), zeta.to_err_perm())
+    assert sigma == ErrPerm.identity(4)
+    d = hamming(sigma, zeta)
     comm = _flip_commutator(zeta)
     assert d == Fraction(1, 2) and hamming(comm, ErrPerm.identity(4)) == 1
     assert d <= hamming(comm, ErrPerm.identity(4))
 
 
-def _flip_commutator(zeta: SignedPerm) -> ErrPerm:
-    flip = SignedPerm.sign_flip(zeta.n).to_err_perm()
-    z = zeta.to_err_perm()
+def _flip_commutator(zeta: ErrPerm) -> ErrPerm:
+    flip = sign_flip(zeta.size // 2)
+    z = zeta
     return compose(compose(flip, z), compose(flip.inverse(), z.inverse()))
 
 
 def test_commute_exhaustive_small():
     ident6 = ErrPerm.identity(6)
     for p in permutations(range(6)):
-        zeta = SignedPerm(3, p)
+        zeta = ErrPerm.from_one_line(p)
         sigma = commute_with_sign_flip(zeta)
-        assert sigma.commutes_with_flip()
+        assert commutes_with_flip(sigma)
         bound = hamming(_flip_commutator(zeta), ident6)
-        assert hamming(sigma.to_err_perm(), zeta.to_err_perm()) <= bound
-        if zeta.commutes_with_flip():
+        assert hamming(sigma, zeta) <= bound
+        if commutes_with_flip(zeta):
             assert sigma == zeta
 
 
@@ -191,8 +208,8 @@ def test_commute_repair_is_inverse_equivariant():
     # the cover machinery needs repaired inverse pairs to stay mutually
     # inverse; the increasing-order extension guarantees it
     for p in permutations(range(6)):
-        zeta = SignedPerm(3, p)
-        inv = SignedPerm.from_err_perm(zeta.to_err_perm().inverse())
-        lhs = commute_with_sign_flip(inv).to_err_perm()
-        rhs = commute_with_sign_flip(zeta).to_err_perm().inverse()
+        zeta = ErrPerm.from_one_line(p)
+        inv = zeta.inverse()
+        lhs = commute_with_sign_flip(inv)
+        rhs = commute_with_sign_flip(zeta).inverse()
         assert lhs == rhs

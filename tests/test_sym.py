@@ -158,6 +158,17 @@ def test_vertex_coboundary_is_cocycle():
     assert count_joint_violations(f) == 0
 
 
+def test_gauge_shift_needs_a_value_at_every_vertex():
+    x = full_triangle()
+    with pytest.raises(PermstabError, match="^no value at vertex 0$"):
+        vertex_coboundary(x, {})
+    h = {0: PartialInj.identity(2), 2: PartialInj.identity(2)}
+    with pytest.raises(PermstabError, match="^no value at vertex 1$"):
+        twist(identity_cochain(x, 1, 2), h)
+    with pytest.raises(PermstabError, match="^no value at vertex 1$"):
+        vertex_coboundary(x, h)
+
+
 # -- minimality ----------------------------------------------------------------------
 
 

@@ -125,12 +125,40 @@ MUTATIONS = (
         "raise FormatError(message, lineno + 1) from None",
         ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
     ),
+    # fileio: one block splitter for action and sym cochain files
     (
         "sym-cell-header-keeps-keyword",
         PKG + "fileio.py",
-        '_int_tokens(line.split()[1:], lineno, "bad cell line")',
-        '_int_tokens(line.split(), lineno, "bad cell line")',
+        "key = parse_key(line.split(None, 1)[1], lineno)",
+        "key = parse_key(line, lineno)",
         ["tests/test_cli.py::test_sym_cochain_round_trip"],
+    ),
+    (
+        "pre-header-line-accepted",
+        PKG + "fileio.py",
+        "                raise FormatError(f\"index line before any '{keyword}' header\", lineno)\n",
+        "                continue\n",
+        [
+            "tests/test_cli.py::test_malformed_headers_raise_format_error",
+            "tests/test_cli.py::test_sym_cochain_index_lines_are_strict",
+        ],
+    ),
+    (
+        "repeated-block-accepted",
+        PKG + "fileio.py",
+        '        if key in seen:\n            raise FormatError(f"{keyword} {key} given twice", lineno)\n',
+        "",
+        [
+            "tests/test_cli.py::test_malformed_headers_raise_format_error",
+            "tests/test_cli.py::test_sym_cochain_index_lines_are_strict",
+        ],
+    ),
+    (
+        "unknown-generator-accepted",
+        PKG + "fileio.py",
+        "        if name not in presentation.generators:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
     ),
     # complexes: the empty complex without a subclass
     (
@@ -205,6 +233,13 @@ MUTATIONS = (
         "return twist(identity_cochain(x, 1, next(iter(g.values())).n), {v: p.inverse() for v, p in g.items()})",
         ["tests/test_sym.py::test_vertex_coboundary_is_cocycle"],
     ),
+    (
+        "twist-vertex-check-dropped",
+        PKG + "symcochains.py",
+        "        raise PermstabError(\"twisting is defined for edge cochains\")\n    _require_vertex_values(f.complex, h)\n",
+        "        raise PermstabError(\"twisting is defined for edge cochains\")\n",
+        ["tests/test_sym.py::test_gauge_shift_needs_a_value_at_every_vertex"],
+    ),
     # actions: one statement of the central-extension relations
     (
         "tau-squared-dropped",
@@ -234,6 +269,14 @@ MUTATIONS = (
         "if not stage.holds:",
         "if False:",
         ["tests/test_experiments.py::test_run_pipeline_refuses_a_failed_normalization_bound"],
+    ),
+    # perms: the signed double is a permutation of range(2n)
+    (
+        "signed-double-label-check-dropped",
+        PKG + "perms.py",
+        "    if perm.domain != tuple(range(perm.size)):\n",
+        "    if False:\n",
+        ["tests/test_perms.py::test_signed_double_is_a_permutation_of_an_even_range"],
     ),
     # perms: the involution check squares once
     (
