@@ -47,7 +47,7 @@ class AlmostAction:
             if not perm.is_bijection:
                 raise PermstabError(f"image of {g!r} is not a bijection of its domain")
         for a, b in self.presentation.inverse_pairs:
-            if self.images[a].inverse() != self.images[b]:
+            if self.images[a]._inverse_map != self.images[b]._map:
                 raise PermstabError(f"images of {a!r} and {b!r} are not mutually inverse")
 
     def image(self, g: str) -> ErrPerm:
@@ -77,6 +77,18 @@ def _apply_maps(maps: list[dict[int, int]], space: int, x: int) -> int:
     return x if 0 <= x < space else ERROR
 
 
+def _column(maps: list[dict[int, int]], points: list[int]) -> list[int]:
+    """The images of a column of points under the letter maps, right to left.
+
+    ``ERROR`` is never a key, as labels are non-negative, so it absorbs.
+    """
+    vals = points
+    for point_map in reversed(maps):
+        get = point_map.get
+        vals = [get(v, ERROR) for v in vals]
+    return vals
+
+
 def apply_word(action: AlmostAction, word: Word, x: int) -> int:
     """The word's image of one point: ``evaluate_word(action, word).apply(x)``.
 
@@ -90,28 +102,49 @@ def apply_word(action: AlmostAction, word: Word, x: int) -> int:
 def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
     """Compose images right-to-left; the empty word is the identity.
 
-    The composite's domain is the part of the rightmost letter's domain
-    that the whole word maps into ``range(action.space)``.
+    The rightmost letter's domain is mapped as one column of points; the
+    composite's domain is the part of it that the whole word maps into
+    ``range(action.space)``.
     """
     maps = _letter_maps(action, word)
     if not maps:
         return ErrPerm.identity(action.space)
-    dom, img = [], []
-    for x in sorted(maps[-1]):
-        y = _apply_maps(maps, action.space, x)
-        if y != ERROR:
-            dom.append(x)
-            img.append(y)
-    return ErrPerm(action.space, tuple(dom), tuple(img))
+    space = action.space
+    xs = sorted(maps[-1])
+    pairs = [(x, y) for x, y in zip(xs, _column(maps, xs)) if 0 <= y < space]
+    return ErrPerm(space, tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
+
+
+def _relation_fixed_points(action: AlmostAction, word: Word) -> int:
+    """The fixed points in ``range(space)`` of the word's composite, counted over a column.
+
+    Refuses, as ``hamming`` against the identity would, a composite whose
+    domain holds a label past ``space`` but does not cover ``range(space)``.
+    """
+    maps = _letter_maps(action, word)
+    space = action.space
+    if not maps:
+        return space
+    xs = list(maps[-1])
+    ys = _column(maps, xs)
+    if xs and max(xs) >= space:
+        dom = [x for x, y in zip(xs, ys) if 0 <= y < space]
+        if max(dom, default=0) >= space and sum(1 for x in dom if x < space) < space:
+            raise PermstabError("incomparable domains: neither contains the other")
+    return sum(1 for x, y in zip(xs, ys) if x == y and x < space)
 
 
 def defect(action: AlmostAction) -> Fraction:
-    """max over relations of the distance of the evaluated word from the identity."""
-    ident = ErrPerm.identity(action.space)
-    worst = Fraction(0)
+    """max over relations of the distance of the evaluated word from the identity.
+
+    Each relation's distance is one minus its fixed-point fraction, counted
+    over a column of points; no composite is built.
+    """
+    space = action.space
+    fewest = space
     for rel in action.presentation.relations:
-        worst = max(worst, hamming(evaluate_word(action, rel), ident))
-    return worst
+        fewest = min(fewest, _relation_fixed_points(action, rel))
+    return 1 - Fraction(fewest, space) if space else Fraction(0)
 
 
 def action_distance(a: AlmostAction, b: AlmostAction) -> Fraction:

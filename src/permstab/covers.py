@@ -238,17 +238,20 @@ def contradiction_experiment(
     psi: AlmostAction,
     f: AlmostAction,
     tau: str = "tau",
+    eps: Fraction | None = None,
 ) -> ExperimentReport:
     """Measure how close the pulled-back cochain is to a coboundary.
 
-    Computes eps (defect of psi), rho (distance of the covering action from
-    psi's unsigned shadow), builds the cover, and compares the pull-back of
+    Computes eps (the defect of psi, unless the caller passes the value it
+    has already measured), rho (distance of the covering action from psi's
+    unsigned shadow), builds the cover, and compares the pull-back of
     phi with the coboundary of the sign cochain, in total, per connected
     component, and through the two failure events.  The inequality
     ``min-component distance <= eps + 4*rho`` is asserted; so is the per
     triangle equality on qualifying triangles.
     """
-    eps = defect(psi)
+    if eps is None:
+        eps = defect(psi)
     quotient = induced_quotient_action(psi, tau)
     rho = action_distance(f, quotient)
     cov = build_cover(x, f)

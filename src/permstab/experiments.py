@@ -317,7 +317,7 @@ def run_pipeline(config: ExperimentConfig) -> tuple[RunRow, ExperimentReport]:
             f"normalization bound failed at seed {config.seed}, epsilon {config.epsilon},"
             f" fiber {config.fiber}, extra {config.extra}"
         )
-    report = contradiction_experiment(x, phi, psi, f)
+    report = contradiction_experiment(x, phi, psi, f, eps=stage.defect_out)
     row = RunRow(
         config=config,
         eps=report.eps,

@@ -7,8 +7,9 @@ Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 * cochain: ``dim k`` header, then one supported cell per line.
 * action: an optional ``space m`` line, then ``generator NAME`` headers, one
   per generator of the presentation, each followed by that generator's
-  ``i -> j`` lines, one per point of its domain.  Without ``space`` the
-  underlying set is as large as the largest block.
+  ``i -> j`` lines, one per point of its domain.  With ``space`` every
+  point is below ``m``; without it the underlying set is as large as the
+  largest block.
 * presentation: ``gen NAME`` lines, ``pair A B`` lines for formal inverse
   pairs, and ``rel w1 w2 ...`` lines where a letter is ``NAME`` or ``NAME^-1``.
 * sym cochain: ``sym degree=i n=N`` header, an inline ``complex`` section,
@@ -163,6 +164,8 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
         mapping = mappings[name] = {}
         for lineno, line in body:
             x, y = _map_line(line, lineno)
+            if space is not None and max(x, y) >= space:
+                raise FormatError(f"point {max(x, y)} is not below space {space}", lineno)
             if x in mapping:
                 raise FormatError(f"point {x} mapped twice", lineno)
             mapping[x] = y

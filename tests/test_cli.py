@@ -193,6 +193,17 @@ LOADER_ERRORS = [
         "generator a\n0 -> 0\nspace 1\n",
         "^line 3: expected 'i -> j'$",
     ),
+    # with a 'space m' line every point of an 'i -> j' line is below m
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "space 2\ngenerator a\n7 -> 7\n9 -> 9\n",
+        "^line 3: point 7 is not below space 2$",
+    ),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "space 2\ngenerator a\n0 -> 1\n# then\n1 -> 2\n",
+        "^line 5: point 2 is not below space 2$",
+    ),
     # integer lines name their own line, past blanks and comments
     (fileio.load_complex, "dim 1\n0 1\n\n1 -2x\n", "^line 4: bad face line$"),
     (
@@ -212,6 +223,13 @@ LOADER_ERRORS = [
 def test_malformed_headers_raise_format_error(load, text, message):
     with pytest.raises(FormatError, match=message):
         load(text)
+
+
+def test_action_without_space_keeps_the_inferred_size():
+    act = fileio.load_action("generator a\n7 -> 9\n9 -> 7\n", Presentation(("a",), ()))
+    assert act.space == 2 and act.image("a") == ErrPerm(2, (7, 9), (9, 7))
+    act = fileio.load_action("space 3\ngenerator a\n2 -> 0\n0 -> 2\n", Presentation(("a",), ()))
+    assert act.image("a") == ErrPerm(3, (0, 2), (2, 0))
 
 
 def test_cli_malformed_headers_exit_1(tmp_path, capsys):

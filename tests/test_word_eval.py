@@ -3,20 +3,24 @@
 ``reference_evaluate_word`` is the evaluation the package used before
 ``apply_word`` and the one-pass ``evaluate_word``: one validated composite
 per letter, starting from the identity on ``range(space)``.
+``reference_defect`` is the defect the package computed before relations
+were counted over point columns: the ``hamming`` distance of each composite
+from the identity.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import permstab.actions as actions
 from permstab.actions import AlmostAction, apply_word, defect, evaluate_word, normalize_sofic_approx
 from permstab.complexes import Presentation
 from permstab.errors import PermstabError
-from permstab.experiments import ExperimentConfig, build_instance
-from permstab.perms import ErrPerm, compose
+from permstab.covers import contradiction_experiment
+from permstab.experiments import ExperimentConfig, build_instance, rows_to_csv, run_pipeline, sweep
+from permstab.perms import ErrPerm, compose, hamming
 
 GENS = ("a", "b", "c", "A")
 
@@ -31,6 +35,14 @@ def reference_evaluate_word(action, word):
             perm = perm.inverse()
         result = compose(result, perm)
     return result
+
+
+def reference_defect(action):
+    ident = ErrPerm.identity(action.space)
+    return max(
+        (hamming(reference_evaluate_word(action, rel), ident) for rel in action.presentation.relations),
+        default=Fraction(0),
+    )
 
 
 def random_action(rng: random.Random) -> AlmostAction:
@@ -98,19 +110,135 @@ def test_labels_past_space_and_edge_words():
             run((("p", 1), ("x", 1), ("y", -1)))
 
 
-def test_defect_and_stage_report_match_reference(monkeypatch):
-    configs = [
-        ExperimentConfig(seed=s, epsilon=Fraction((0, 1, 1, 1)[s % 4], (1, 100, 20, 10)[s % 4]),
-                         fiber=4 + s % 5, extra=s % 3)
-        for s in range(20)
-    ]
-    got = []
-    for cfg in configs:
+def check_defect_against_reference(action):
+    try:
+        want = reference_defect(action)
+    except PermstabError as exc:
+        with pytest.raises(PermstabError) as got:
+            defect(action)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert defect(action) == want
+    return None
+
+
+def with_relations(action, rng, unknown):
+    """The action under a presentation with 0-3 random relations, empty ones included.
+
+    Unknown letters are declared generators of the new presentation but have
+    no image, so evaluation is what refuses them.
+    """
+    relations = tuple(random_word(rng, unknown) for _ in range(rng.randrange(0, 4)))
+    gens = GENS + (("z", "y") if unknown else ())
+    action.presentation = Presentation(gens, relations, action.presentation.inverse_pairs)
+    return action
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unknown=st.booleans())
+def test_defect_matches_reference(seed, unknown):
+    rng = random.Random(seed)
+    check_defect_against_reference(with_relations(random_action(rng), rng, unknown))
+
+
+def test_defect_matches_reference_seeded():
+    rng = random.Random(20261019)
+    errors = []
+    for _ in range(3000):
+        action = with_relations(random_action(rng), rng, unknown=rng.random() < 0.2)
+        errors.append(check_defect_against_reference(action))
+    # the seeded run reaches both refusals and the labels-past-space cases
+    assert any(e and e.startswith("incomparable domains") for e in errors)
+    assert any(e and e.startswith("unknown generator") for e in errors)
+
+
+def test_defect_edge_cases():
+    pres = Presentation(("a",), ((("a", 1),),))
+    # labels at or past space map out of range(space): no fixed point is counted there
+    stray = AlmostAction(pres, 2, {"a": ErrPerm(2, (7, 9), (7, 9))})
+    assert defect(stray) == reference_defect(stray) == 1
+    # a composite whose domain holds a label past space and misses a point of range(space)
+    out = AlmostAction(pres, 2, {"a": ErrPerm(2, (0, 5), (5, 0))})
+    for run in (defect, reference_defect):
+        with pytest.raises(PermstabError, match="^incomparable domains"):
+            run(out)
+    # the empty relation, no relation and an empty underlying set give 0
+    for rels in ((), ((),)):
+        act = AlmostAction(Presentation(("a",), rels), 3, {"a": ErrPerm.from_cycle((0, 1, 2), 3)})
+        assert defect(act) == 0
+    empty = AlmostAction(pres, 0, {"a": ErrPerm(0, (), ())})
+    assert defect(empty) == reference_defect(empty) == 0
+    # an unknown letter is refused before a later relation is measured, and after an earlier one
+    act = AlmostAction(pres, 2, {"a": ErrPerm(2, (0, 5), (5, 0))})
+    act.presentation = Presentation(("a", "z"), ((("a", 1),), (("z", 1),)))
+    with pytest.raises(PermstabError, match="^incomparable domains"):
+        defect(act)
+    act.presentation = Presentation(("a", "z"), ((("z", 1),), (("a", 1),)))
+    with pytest.raises(PermstabError, match="^unknown generator 'z'$"):
+        defect(act)
+
+
+def test_inverse_pairs_are_checked_by_point_maps():
+    """An inverse pair is accepted exactly when the old validated inverse equals the partner."""
+    rng = random.Random(7)
+    pres = Presentation(("a", "b"), (), (("a", "b"),))
+    seen = set()
+    for _ in range(500):
+        space = rng.randrange(0, 5)
+        dom = rng.sample(range(space + 2), rng.randrange(0, space + 1))
+        img = list(dom)
+        rng.shuffle(img)
+        a = ErrPerm.from_mapping(dict(zip(dom, img)), space)
+        b = rng.choice((a.inverse(), a, ErrPerm.identity_on(dom, space), ErrPerm.identity(space)))
+        accepted = a.inverse() == b
+        seen.add(accepted)
+        if accepted:
+            AlmostAction(pres, space, {"a": a, "b": b})
+        else:
+            with pytest.raises(PermstabError, match="^images of 'a' and 'b' are not mutually inverse$"):
+                AlmostAction(pres, space, {"a": a, "b": b})
+    assert seen == {True, False}
+    # a three-cycle is not its own inverse; a partial map on labels past space has its inverse as partner
+    cyc = ErrPerm.from_cycle((0, 1, 2), 3)
+    with pytest.raises(PermstabError, match="not mutually inverse"):
+        AlmostAction(pres, 3, {"a": cyc, "b": cyc})
+    AlmostAction(pres, 3, {"a": cyc, "b": cyc.inverse()})
+    part = ErrPerm(3, (1, 4), (4, 1))
+    AlmostAction(pres, 3, {"a": part, "b": part})
+    with pytest.raises(PermstabError, match="not mutually inverse"):
+        AlmostAction(pres, 3, {"a": part, "b": ErrPerm(3, (1, 4, 5), (4, 1, 5))})
+
+
+def test_defect_and_stage_report_match_reference():
+    for s in range(20):
+        cfg = ExperimentConfig(seed=s, epsilon=Fraction((0, 1, 1, 1)[s % 4], (1, 100, 20, 10)[s % 4]),
+                               fiber=4 + s % 5, extra=s % 3)
         raw = build_instance(cfg)[2]
         out, report = normalize_sofic_approx(raw)
-        got.append((defect(raw), report, out.space, out.images))
-    monkeypatch.setattr(actions, "evaluate_word", reference_evaluate_word)
-    for cfg, result in zip(configs, got):
-        raw = build_instance(cfg)[2]
-        out, report = normalize_sofic_approx(raw)
-        assert result == (defect(raw), report, out.space, out.images), cfg
+        assert defect(raw) == reference_defect(raw) == report.defect_in == report.eps, cfg
+        assert report.defect_out == reference_defect(out) == defect(out), cfg
+
+
+# sha256 of the CSV below, computed before relations were counted over point columns
+SWEEP_CSV_SHA256 = "e4a7fdf4a9d0cd24c58f9d310fe1597cf39be7547057db5cc3fe1d5fcedd7a5e"
+
+
+def test_sweep_csv_bytes_are_pinned():
+    rows = []
+    for fiber, extra in ((12, 2), (24, 0), (48, 2)):
+        epsilons = [Fraction(0), Fraction(1, 50), Fraction(1, 20), Fraction(1, 10)]
+        rows += sweep(epsilons, seeds=[3, 11], fiber=fiber, extra=extra)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_pipeline_report_is_the_same_with_the_measured_defect_passed_in():
+    for cfg in (
+        ExperimentConfig(seed=2, epsilon=Fraction(1, 10), fiber=12, extra=2),
+        ExperimentConfig(seed=1, epsilon=Fraction(1, 10), fiber=24),
+        ExperimentConfig(seed=2, epsilon=Fraction(1, 20), fiber=24),
+    ):
+        _, report = run_pipeline(cfg)
+        x, phi, raw, f = build_instance(cfg)
+        psi, stage = normalize_sofic_approx(raw)
+        assert stage.defect_in != stage.defect_out, cfg
+        assert report == contradiction_experiment(x, phi, psi, f), cfg

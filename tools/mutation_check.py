@@ -240,6 +240,52 @@ MUTATIONS = (
         "        raise PermstabError(\"twisting is defined for edge cochains\")\n",
         ["tests/test_sym.py::test_gauge_shift_needs_a_value_at_every_vertex"],
     ),
+    # actions: relations measured over point columns, inverse pairs by point maps
+    (
+        "column-range-weakened",
+        PKG + "actions.py",
+        "dom = [x for x, y in zip(xs, ys) if 0 <= y < space]",
+        "dom = [x for x, y in zip(xs, ys) if y < space]",
+        ["tests/test_word_eval.py::test_defect_matches_reference_seeded"],
+    ),
+    (
+        "incomparable-domains-accepted",
+        PKG + "actions.py",
+        '            raise PermstabError("incomparable domains: neither contains the other")\n',
+        "            pass\n",
+        [
+            "tests/test_word_eval.py::test_defect_matches_reference_seeded",
+            "tests/test_word_eval.py::test_defect_edge_cases",
+        ],
+    ),
+    (
+        "fixed-point-counted-past-space",
+        PKG + "actions.py",
+        "if x == y and x < space)",
+        "if x == y)",
+        ["tests/test_word_eval.py::test_defect_edge_cases"],
+    ),
+    (
+        "inverse-pair-map-against-map",
+        PKG + "actions.py",
+        "self.images[a]._inverse_map != self.images[b]._map",
+        "self.images[a]._map != self.images[b]._map",
+        ["tests/test_word_eval.py::test_inverse_pairs_are_checked_by_point_maps"],
+    ),
+    (
+        "pipeline-passes-input-defect",
+        PKG + "experiments.py",
+        "eps=stage.defect_out",
+        "eps=stage.defect_in",
+        ["tests/test_word_eval.py::test_pipeline_report_is_the_same_with_the_measured_defect_passed_in"],
+    ),
+    (
+        "action-labels-past-space-accepted",
+        PKG + "fileio.py",
+        "if space is not None and max(x, y) >= space:",
+        "if False:",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
     # actions: one statement of the central-extension relations
     (
         "tau-squared-dropped",
