@@ -69,14 +69,6 @@ def _letter_maps(action: AlmostAction, word: Word) -> list[dict[int, int]]:
     return maps
 
 
-def _apply_maps(maps: list[dict[int, int]], space: int, x: int) -> int:
-    for point_map in reversed(maps):
-        x = point_map.get(x, ERROR)
-        if x == ERROR:
-            return ERROR
-    return x if 0 <= x < space else ERROR
-
-
 def _column(maps: list[dict[int, int]], points: list[int]) -> list[int]:
     """The images of a column of points under the letter maps, right to left.
 
@@ -92,59 +84,49 @@ def _column(maps: list[dict[int, int]], points: list[int]) -> list[int]:
 def apply_word(action: AlmostAction, word: Word, x: int) -> int:
     """The word's image of one point: ``evaluate_word(action, word).apply(x)``.
 
-    Letters act right to left, ``ERROR`` absorbs, and a result outside
-    ``range(action.space)`` is ``ERROR``, as under the identity the
-    evaluation starts from.
+    Letters act right to left and ``ERROR`` absorbs.  A point outside
+    ``range(action.space)`` is in no domain, so it goes to ``ERROR``, as
+    under the identity the evaluation starts from.
     """
-    return _apply_maps(_letter_maps(action, word), action.space, x)
+    maps = _letter_maps(action, word)
+    if not maps:
+        return x if 0 <= x < action.space else ERROR
+    for point_map in reversed(maps):
+        x = point_map.get(x, ERROR)
+    return x
 
 
 def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
     """Compose images right-to-left; the empty word is the identity.
 
     The rightmost letter's domain is mapped as one column of points; the
-    composite's domain is the part of it that the whole word maps into
-    ``range(action.space)``.
+    composite's domain is the part of it that the whole word keeps defined.
     """
     maps = _letter_maps(action, word)
     if not maps:
         return ErrPerm.identity(action.space)
-    space = action.space
     xs = sorted(maps[-1])
-    pairs = [(x, y) for x, y in zip(xs, _column(maps, xs)) if 0 <= y < space]
-    return ErrPerm(space, tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
+    pairs = [(x, y) for x, y in zip(xs, _column(maps, xs)) if y != ERROR]
+    return ErrPerm(action.space, tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
 
 
-def _relation_fixed_points(action: AlmostAction, word: Word) -> int:
-    """The fixed points in ``range(space)`` of the word's composite, counted over a column.
+def _word_distance(action: AlmostAction, word: Word) -> Fraction:
+    """One minus the fixed-point fraction of the word's composite; 0 on an empty set.
 
-    Refuses, as ``hamming`` against the identity would, a composite whose
-    domain holds a label past ``space`` but does not cover ``range(space)``.
+    This is the ``hamming`` distance of ``evaluate_word(action, word)`` from
+    the identity, counted over a column of points without building either.
     """
     maps = _letter_maps(action, word)
-    space = action.space
-    if not maps:
-        return space
+    if not (maps and action.space):
+        return Fraction(0)
     xs = list(maps[-1])
-    ys = _column(maps, xs)
-    if xs and max(xs) >= space:
-        dom = [x for x, y in zip(xs, ys) if 0 <= y < space]
-        if max(dom, default=0) >= space and sum(1 for x in dom if x < space) < space:
-            raise PermstabError("incomparable domains: neither contains the other")
-    return sum(1 for x, y in zip(xs, ys) if x == y and x < space)
+    fixed = sum(1 for x, y in zip(xs, _column(maps, xs)) if x == y)
+    return 1 - Fraction(fixed, action.space)
 
 
 def defect(action: AlmostAction) -> Fraction:
-    """max over relations of the distance of the evaluated word from the identity.
-
-    Each relation's distance is one minus its fixed-point fraction, counted
-    over a column of points; no composite is built.
-    """
-    space = action.space
-    fewest = space
-    for rel in action.presentation.relations:
-        fewest = min(fewest, _relation_fixed_points(action, rel))
-    return 1 - Fraction(fewest, space) if space else Fraction(0)
+    """max over relations of the distance of the evaluated word from the identity."""
+    return max((_word_distance(action, rel) for rel in action.presentation.relations), default=Fraction(0))
 
 
 def action_distance(a: AlmostAction, b: AlmostAction) -> Fraction:
@@ -233,14 +215,14 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
     for g, perm in stage1.items():
         if g == tau:
             new = fpf.relabel(relabel)
-            old = inv.relabel(relabel, size=inv.size)
+            old = inv.relabel(relabel, size=twice)
         else:
             extended = {x: perm.apply(x) for x in perm.domain}
             for x in fpf.domain:
                 if x not in extended:
                     extended[x] = x
             new = ErrPerm.from_mapping({relabel[x]: relabel[y] for x, y in extended.items()})
-            old = perm.relabel(relabel, size=perm.size)
+            old = perm.relabel(relabel, size=twice)
         stage2[g] = new
         d2 = max(d2, hamming(old, new))
     if stage2[tau].images != sign_flip(twice // 2).images:
@@ -328,7 +310,6 @@ def separation_report(action: AlmostAction, max_len: int, limit: int = 2000):
     A bounded observation aid: no claim is made about words beyond the bound.
     Returns (word, distance) pairs in enumeration order, capped at ``limit``.
     """
-    ident = ErrPerm.identity(action.space)
     gens = action.generators
     out = []
     frontier: list[Word] = [()]
@@ -341,7 +322,7 @@ def separation_report(action: AlmostAction, max_len: int, limit: int = 2000):
                     if free_reduce(cand) != cand:
                         continue
                     new.append(cand)
-                    out.append((cand, hamming(evaluate_word(action, cand), ident)))
+                    out.append((cand, _word_distance(action, cand)))
                     if len(out) >= limit:
                         return out
         frontier = new

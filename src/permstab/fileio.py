@@ -7,11 +7,12 @@ Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 * cochain: ``dim k`` header, then one supported cell per line.
 * action: an optional ``space m`` line, then ``generator NAME`` headers, one
   per generator of the presentation, each followed by that generator's
-  ``i -> j`` lines, one per point of its domain.  With ``space`` every
-  point is below ``m``; without it the underlying set is as large as the
-  largest block.
+  ``i -> j`` lines, one per point of its domain.  Every point is a
+  non-negative integer, below ``m`` when ``space`` is given; without it the
+  underlying set is the smallest ``range(m)`` that holds every point.
 * presentation: ``gen NAME`` lines, ``pair A B`` lines for formal inverse
   pairs, and ``rel w1 w2 ...`` lines where a letter is ``NAME`` or ``NAME^-1``.
+  Each name has one ``gen`` line, before or after the lines that use it.
 * sym cochain: ``sym degree=i n=N`` header, an inline ``complex`` section,
   then ``cell v0 v1 ...`` headers each followed by exactly one ``idx -> img``
   or ``idx -> undef`` line for every index in ``range(N)``.
@@ -164,13 +165,16 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
         mapping = mappings[name] = {}
         for lineno, line in body:
             x, y = _map_line(line, lineno)
+            if min(x, y) < 0:
+                raise FormatError(f"point {min(x, y)} is negative", lineno)
             if space is not None and max(x, y) >= space:
                 raise FormatError(f"point {max(x, y)} is not below space {space}", lineno)
             if x in mapping:
                 raise FormatError(f"point {x} mapped twice", lineno)
             mapping[x] = y
     if space is None:
-        space = max(map(len, mappings.values()), default=0)
+        points = [p for mapping in mappings.values() for p in (*mapping, *mapping.values())]
+        space = 1 + max(points, default=-1)
     images = {g: ErrPerm.from_mapping(mapping, space) for g, mapping in mappings.items()}
     return AlmostAction(presentation, space, images)
 
@@ -189,12 +193,16 @@ def load_presentation(text: str) -> Presentation:
     gens: list[str] = []
     pairs: list[tuple[str, str]] = []
     rels: list[Word] = []
+    uses = []  # (line number, kind, names), checked once every 'gen' line is read
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "gen" and len(parts) == 2:
+            if parts[1] in gens:
+                raise FormatError(f"generator {parts[1]!r} given twice", lineno)
             gens.append(parts[1])
         elif parts[0] == "pair" and len(parts) == 3:
             pairs.append((parts[1], parts[2]))
+            uses.append((lineno, "pair", parts[1:]))
         elif parts[0] == "rel":
             word = []
             for tok in parts[1:]:
@@ -203,8 +211,13 @@ def load_presentation(text: str) -> Presentation:
                 else:
                     word.append((tok, 1))
             rels.append(tuple(word))
+            uses.append((lineno, "relation", [sym for sym, _ in word]))
         else:
             raise FormatError(f"unrecognized line {line!r}", lineno)
+    for lineno, kind, names in uses:
+        for name in names:
+            if name not in gens:
+                raise FormatError(f"{kind} uses unknown generator {name!r}", lineno)
     return Presentation(tuple(gens), tuple(rels), tuple(pairs))
 
 

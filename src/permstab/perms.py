@@ -1,11 +1,12 @@
-"""Permutations evaluated inside a superset, with an explicit error element.
+"""Partial permutations of range(size), with an explicit error element.
 
-An ``ErrPerm`` is a partial injection of integer labels together with the
-cardinality of its underlying set; evaluation outside the domain returns the
-distinguished ``ERROR`` element, which composition absorbs.  A genuine
-permutation of a set has ``len(domain) == size``.  The signed double of
-range(n) used by the sign-flip repair is a permutation of range(2n): point +x
-is encoded as 2x and -x as 2x+1, so the sign flip sends p to p ^ 1.
+An ``ErrPerm`` is a partial injection of ``range(size)``: every point of its
+domain and every image lies in ``range(size)``, which construction checks.
+Evaluation outside the domain returns the distinguished ``ERROR`` element
+(-1, never a point), which composition absorbs.  A genuine permutation has
+``len(domain) == size``.  The signed double of range(n) used by the sign-flip
+repair is a permutation of range(2n): point +x is encoded as 2x and -x as
+2x+1, so the sign flip sends p to p ^ 1.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ class ErrPerm:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.domain) != len(self.images):
+        domain, images, size = self.domain, self.images, self.size
+        if len(domain) != len(images):
             raise PermstabError("domain/image length mismatch")
-        if len(self.domain) > self.size:
-            raise PermstabError("domain larger than the underlying set")
-        if any(self.domain[i] >= self.domain[i + 1] for i in range(len(self.domain) - 1)):
+        if any(domain[i] >= domain[i + 1] for i in range(len(domain) - 1)):
             raise PermstabError("domain must be strictly increasing")
-        if any(v < 0 for v in self.domain) or any(v < 0 for v in self.images):
-            raise PermstabError("negative point label")
-        if len(set(self.images)) != len(self.images):
+        if domain and not (0 <= domain[0] and domain[-1] < size and 0 <= min(images) and max(images) < size):
+            raise PermstabError(f"point label outside range({size})")
+        if len(set(images)) != len(images):
             raise PermstabError("images not injective")
 
     @cached_property
@@ -81,9 +81,9 @@ class ErrPerm:
         return ErrPerm(size if size is not None else len(pts), pts, pts)
 
     @staticmethod
-    def from_one_line(images, size=None) -> "ErrPerm":
+    def from_one_line(images) -> "ErrPerm":
         images = tuple(images)
-        return ErrPerm(size if size is not None else len(images), tuple(range(len(images))), images)
+        return ErrPerm(len(images), tuple(range(len(images))), images)
 
     @staticmethod
     def from_mapping(mapping: dict, size=None) -> "ErrPerm":
@@ -176,7 +176,7 @@ def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
     fixed = sorted(zeta.fixed_points())
     mapping = {x: zeta.apply(x) for x in zeta.domain if zeta.apply(x) != x}
     if len(fixed) % 2 == 1:
-        fixed.append(max(zeta.domain) + 1 if zeta.domain else 0)
+        fixed.append(zeta.size)
     for i in range(0, len(fixed), 2):
         a, b = fixed[i], fixed[i + 1]
         mapping[a] = b
@@ -201,8 +201,6 @@ def _check_signed(perm: ErrPerm) -> None:
     """Refuse anything but a permutation of range(2n), the encoded signed double."""
     if not (perm.is_total and perm.is_bijection and perm.size % 2 == 0):
         raise PermstabError("need a genuine permutation of an even-size range")
-    if perm.domain != tuple(range(perm.size)):
-        raise PermstabError("signed points must be labeled 0..2n-1")
 
 
 def commutes_with_flip(perm: ErrPerm) -> bool:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from types import MappingProxyType
 
 from .complexes import SimplicialComplex, link
 from .errors import PermstabError
@@ -112,14 +114,15 @@ def _parity(oriented) -> int:
 
 @dataclass(frozen=True)
 class SymCochain:
-    """Partial-permutation values on the canonical oriented cells of one degree."""
+    """Partial-permutation values on the canonical oriented cells of one degree, read-only once checked."""
 
     complex: SimplicialComplex
     degree: int
     n: int
-    values: dict
+    values: Mapping[Cell, PartialInj]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         expected = set(self.complex.cells(self.degree))
         if set(self.values) != expected:
             raise PermstabError("values must cover exactly the canonical cells")
@@ -128,10 +131,12 @@ class SymCochain:
                 raise PermstabError("value on the wrong index set")
 
     def value_on(self, oriented) -> PartialInj:
-        cell = tuple(sorted(oriented))
         if len(set(oriented)) != len(oriented):
             raise PermstabError("repeated vertices in an oriented cell")
-        val = self.values[cell]
+        try:
+            val = self.values[tuple(sorted(oriented))]
+        except KeyError:
+            raise PermstabError(f"{tuple(oriented)} is not a {self.degree}-cell of the complex") from None
         return val if _parity(tuple(oriented)) == 0 else val.inverse()
 
     def with_value(self, cell: Cell, value: PartialInj) -> "SymCochain":

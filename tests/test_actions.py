@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -278,3 +280,41 @@ def test_perturbation_bound_reference_instance():
     assert eps2 == Fraction(1, 20)
     assert defect(phi) + (3 + 1) * eps2 == Fraction(3, 10)
     assert defect(psi) <= Fraction(3, 10)
+
+
+def near_involution(rng: random.Random, space: int) -> ErrPerm:
+    """A shuffled involution of range(space) with fixed points, sometimes spoiled by a 3-cycle."""
+    pts = list(range(space))
+    rng.shuffle(pts)
+    mapping = {x: x for x in pts}
+    for i in range(0, rng.randrange(0, space // 2 + 1) * 2, 2):
+        mapping[pts[i]], mapping[pts[i + 1]] = pts[i + 1], pts[i]
+    if space >= 3 and rng.random() < 0.5:
+        a, b, c = rng.sample(range(space), 3)
+        mapping[a], mapping[b], mapping[c] = mapping[b], mapping[c], mapping[a]
+    return ErrPerm.from_mapping(mapping, space)
+
+
+def pinned_family():
+    """Seeded actions of an inverse pair a/b and a central tau on 1-11 points."""
+    rng = random.Random(20261019)
+    pres = Presentation(("a", "b", "tau"), ((("a", 1), ("a", 1), ("b", -1)),), (("a", "b"),))
+    for i in range(400):
+        space = 1 + i % 11
+        img = list(range(space))
+        rng.shuffle(img)
+        a = ErrPerm(space, tuple(range(space)), tuple(img))
+        yield AlmostAction(pres, space, {"a": a, "b": a.inverse(), "tau": near_involution(rng, space)})
+
+
+# sha256 over the family above, computed before ErrPerm refused labels past its size
+STAGE_AND_SEPARATION_SHA256 = "c8b3712b6cc4546376ab009e494bc642204880719ffc7644f385ea015c860b3f"
+
+
+def test_stage_reports_and_separation_are_pinned():
+    digest = hashlib.sha256()
+    for act in pinned_family():
+        out, report = normalize_sofic_approx(act)
+        for part in (report, separation_report(act, 2), separation_report(out, 2)):
+            digest.update(repr(part).encode())
+    assert digest.hexdigest() == STAGE_AND_SEPARATION_SHA256

@@ -64,6 +64,9 @@ def test_presentation_round_trip():
     )
     back = fileio.load_presentation(fileio.dump_presentation(pres))
     assert back == pres
+    # the names are checked once every line is read, so a use may come first
+    late = fileio.load_presentation("rel a b^-1\nrel b\npair a b\ngen a\ngen b\n")
+    assert late == pres
 
 
 def test_sym_cochain_round_trip():
@@ -204,6 +207,22 @@ LOADER_ERRORS = [
         "space 2\ngenerator a\n0 -> 1\n# then\n1 -> 2\n",
         "^line 5: point 2 is not below space 2$",
     ),
+    # every point is non-negative, with or without 'space'
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "space 2\ngenerator a\n-1 -> 0\n0 -> -1\n",
+        "^line 3: point -1 is negative$",
+    ),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "generator a\n0 -> 1\n1 -> -3\n",
+        "^line 3: point -3 is negative$",
+    ),
+    # a presentation names the line of a repeated or unknown generator
+    (fileio.load_presentation, "gen a\nrel a x\n", "^line 2: relation uses unknown generator 'x'$"),
+    (fileio.load_presentation, "gen a\n# again\ngen a\n", "^line 3: generator 'a' given twice$"),
+    (fileio.load_presentation, "gen a\npair a b\nrel a\n", "^line 2: pair uses unknown generator 'b'$"),
+    (fileio.load_presentation, "rel b\ngen a\npair a b\n", "^line 1: relation uses unknown generator 'b'$"),
     # integer lines name their own line, past blanks and comments
     (fileio.load_complex, "dim 1\n0 1\n\n1 -2x\n", "^line 4: bad face line$"),
     (
@@ -226,8 +245,12 @@ def test_malformed_headers_raise_format_error(load, text, message):
 
 
 def test_action_without_space_keeps_the_inferred_size():
+    # the smallest range(m) that holds every point, whatever the blocks' lengths
     act = fileio.load_action("generator a\n7 -> 9\n9 -> 7\n", Presentation(("a",), ()))
-    assert act.space == 2 and act.image("a") == ErrPerm(2, (7, 9), (9, 7))
+    assert act.space == 10 and act.image("a") == ErrPerm(10, (7, 9), (9, 7))
+    act = fileio.load_action("generator a\n0 -> 4\n4 -> 0\ngenerator b\n", Presentation(("a", "b"), ()))
+    assert act.space == 5 and act.image("b") == ErrPerm(5, (), ())
+    assert fileio.load_action("generator a\n", Presentation(("a",), ())).space == 0
     act = fileio.load_action("space 3\ngenerator a\n2 -> 0\n0 -> 2\n", Presentation(("a",), ()))
     assert act.image("a") == ErrPerm(3, (0, 2), (2, 0))
 

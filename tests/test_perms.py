@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab.errors import PermstabError
 from permstab.perms import (
@@ -39,16 +40,17 @@ def all_involutions(n):
 def test_hamming_basics():
     ident = ErrPerm.identity(4)
     assert hamming(ident, ident) == 0
-    small = ErrPerm.identity_on([1, 2, 3])
-    big = ErrPerm.identity_on([1, 2, 3, 4])
-    assert hamming(small, big) == Fraction(1, 4)
-    swap = ErrPerm.from_mapping({1: 2, 2: 1, 3: 3, 4: 4})
-    assert hamming(ErrPerm.identity_on([1, 2, 3, 4]), swap) == Fraction(2, 4)
+    # the larger underlying set is the denominator; its undefined points are mismatches
+    small = ErrPerm.identity_on([1, 2, 3], 4)
+    big = ErrPerm.identity_on([1, 2, 3, 4], 5)
+    assert hamming(small, big) == hamming(big, small) == Fraction(2, 5)
+    swap = ErrPerm.from_mapping({1: 2, 2: 1, 3: 3, 4: 4}, 5)
+    assert hamming(big, swap) == Fraction(3, 5)
 
 
 def test_hamming_incomparable_rejected():
-    a = ErrPerm.identity_on([0, 1])
-    b = ErrPerm.identity_on([1, 2])
+    a = ErrPerm.identity_on([0, 1], 3)
+    b = ErrPerm.identity_on([1, 2], 3)
     with pytest.raises(PermstabError):
         hamming(a, b)
 
@@ -163,13 +165,57 @@ def test_sign_flip_structure():
     [
         (ErrPerm.from_cycle((0, 1, 2), 3), "need a genuine permutation of an even-size range"),
         (ErrPerm(4, (0, 1, 2), (1, 0, 2)), "need a genuine permutation of an even-size range"),
-        (ErrPerm.from_mapping({0: 0, 1: 5}), "need a genuine permutation of an even-size range"),
-        (ErrPerm.from_mapping({1: 2, 2: 1}), "signed points must be labeled 0..2n-1"),
+        (ErrPerm(6, (0, 1), (0, 5)), "need a genuine permutation of an even-size range"),
     ],
 )
 def test_signed_double_is_a_permutation_of_an_even_range(check, perm, message):
     with pytest.raises(PermstabError, match=f"^{re.escape(message)}$"):
         check(perm)
+
+
+def test_signed_double_labels_past_the_size_are_refused_when_built():
+    # a relabeled double outside range(2n) never reaches the sign-flip checks
+    for mapping in ({1: 2, 2: 1}, {0: 0, 1: 5}):
+        with pytest.raises(PermstabError, match=r"^point label outside range\(2\)$"):
+            ErrPerm.from_mapping(mapping)
+
+
+# -- the label contract ----------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_errperm_refuses_exactly_the_labels_outside_its_range(data):
+    size = data.draw(st.integers(0, 8))
+    labels = st.integers(-3, size + 3)
+    domain = tuple(sorted(data.draw(st.sets(labels, max_size=size + 2))))
+    images = tuple(data.draw(st.lists(labels, min_size=len(domain), max_size=len(domain), unique=True)))
+    if all(0 <= p < size for p in domain + images):
+        perm = ErrPerm(size, domain, images)
+        assert all(perm.apply(x) == y for x, y in zip(domain, images))
+    else:
+        with pytest.raises(PermstabError, match=rf"^point label outside range\({size}\)$"):
+            ErrPerm(size, domain, images)
+
+
+@pytest.mark.parametrize(
+    "size, domain, images, ok",
+    [
+        (3, (0, 2), (2, 0), True),
+        (3, (1, 3), (0, 2), False),  # the last point equals the size
+        (3, (0,), (3,), False),  # an image equals the size
+        (3, (-1, 0), (0, 1), False),  # a negative point
+        (3, (0, 1), (-1, 1), False),  # a negative image, the smallest one
+        (3, (0, 1), (1, -1), False),  # a negative image, not the first
+        (0, (), (), True),
+    ],
+)
+def test_errperm_label_bounds_at_the_edges(size, domain, images, ok):
+    if ok:
+        assert ErrPerm(size, domain, images).domain == domain
+    else:
+        with pytest.raises(PermstabError, match=r"^point label outside range"):
+            ErrPerm(size, domain, images)
 
 
 def test_commute_examples():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,30 @@ def test_orientation_carries_inverse():
     g = SymCochain(x, 2, 3, {(0, 1, 2): tau})
     assert g.value_on((0, 2, 1)) == tau.inverse()
     assert g.value_on((1, 2, 0)) == tau  # even permutation of the orientation
+
+
+def test_value_on_a_cell_outside_the_complex_is_refused():
+    f = identity_cochain(annulus(), 1, 3)
+    for oriented in ((0, 5), (5, 0), (0,), (0, 1, 2)):
+        with pytest.raises(PermstabError, match="^" + re.escape(f"{oriented!r} is not a 1-cell of the complex") + "$"):
+            f.value_on(oriented)
+    with pytest.raises(PermstabError, match="^repeated vertices"):
+        f.value_on((1, 1))
+
+
+def test_values_are_frozen_after_validation():
+    x = full_triangle()
+    given = {c: PartialInj.identity(2) for c in x.cells(1)}
+    f = SymCochain(x, 1, 2, given)
+    with pytest.raises(TypeError):
+        f.values[(5, 6)] = PartialInj.identity(2)
+    with pytest.raises(TypeError):
+        del f.values[(0, 1)]
+    # the caller's mapping stays the caller's: a later edit does not reach the cochain
+    given[(5, 6)] = PartialInj.identity(2)
+    given[(0, 1)] = PartialInj(2, (1, 0))
+    assert set(f.values) == set(x.cells(1)) and f.value_on((0, 1)) == PartialInj.identity(2)
+    assert f == identity_cochain(x, 1, 2) and f.with_value((0, 1), given[(0, 1)]) != f
 
 
 # -- distance ---------------------------------------------------------------------

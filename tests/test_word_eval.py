@@ -15,7 +15,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permstab.actions import AlmostAction, apply_word, defect, evaluate_word, normalize_sofic_approx
+from permstab.actions import (
+    AlmostAction,
+    apply_word,
+    defect,
+    evaluate_word,
+    normalize_sofic_approx,
+    separation_report,
+)
 from permstab.complexes import Presentation
 from permstab.errors import PermstabError
 from permstab.covers import contradiction_experiment
@@ -46,11 +53,11 @@ def reference_defect(action):
 
 
 def random_action(rng: random.Random) -> AlmostAction:
-    """Partial bijections on labels up to space+2, so some labels reach past ``space``."""
+    """Partial bijections of range(space), the empty set included."""
     space = rng.randrange(0, 7)
     images = {}
     for g in GENS[:3]:
-        dom = rng.sample(range(space + 3), rng.randrange(0, space + 1))
+        dom = rng.sample(range(space), rng.randrange(0, space + 1))
         img = list(dom)
         rng.shuffle(img)
         images[g] = ErrPerm.from_mapping(dict(zip(dom, img)), space)
@@ -94,16 +101,20 @@ def test_word_evaluation_matches_reference_seeded():
 
 
 def test_labels_past_space_and_edge_words():
+    # a map that sends 2 to 3 is no partial permutation of range(3): it is refused when built
+    with pytest.raises(PermstabError, match=r"^point label outside range\(3\)$"):
+        ErrPerm(3, (1, 2, 3), (2, 3, 1))
     pres = Presentation(("p", "q"), ())
-    p = ErrPerm(3, (1, 2, 3), (2, 3, 1))
+    p = ErrPerm(3, (1, 2), (2, 1))
     q = ErrPerm(3, (0, 1, 2), (1, 2, 0))
     act = AlmostAction(pres, 3, {"p": p, "q": q})
     for word in ((), (("p", 1),), (("p", -1),), (("q", 1), ("p", 1)), (("p", 1), ("q", -1), ("p", -1))):
         check_against_reference(act, word)
-    # p maps 2 to 3, outside range(3): the identity the evaluation starts from sends it to ERROR
-    assert apply_word(act, (("p", 1),), 2) == -1
-    assert evaluate_word(act, (("p", 1),)) == ErrPerm(3, (1, 3), (2, 1))
+    # 0 is outside p's domain; 3 and -1 lie in no domain, not even the empty word's identity
+    assert apply_word(act, (("p", 1),), 0) == -1
+    assert evaluate_word(act, (("q", 1), ("p", 1))) == ErrPerm(3, (1, 2), (0, 2))
     assert apply_word(act, (), 3) == -1 and apply_word(act, (), 2) == 2
+    assert apply_word(act, (("q", 1),), 3) == apply_word(act, (("q", 1),), -1) == -1
     # the first unknown letter reading left to right is named, whatever its place
     for run in (lambda w: evaluate_word(act, w), lambda w: apply_word(act, w, 0)):
         with pytest.raises(PermstabError, match="unknown generator 'x'"):
@@ -147,35 +158,39 @@ def test_defect_matches_reference_seeded():
     for _ in range(3000):
         action = with_relations(random_action(rng), rng, unknown=rng.random() < 0.2)
         errors.append(check_defect_against_reference(action))
-    # the seeded run reaches both refusals and the labels-past-space cases
-    assert any(e and e.startswith("incomparable domains") for e in errors)
+    # the seeded run reaches the refusal as well as measured relations
     assert any(e and e.startswith("unknown generator") for e in errors)
+    assert None in errors
+
+
+def test_separation_report_matches_reference():
+    """Each word's distance is the ``hamming`` distance of its old composite from the identity."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        action = random_action(rng)
+        ident = ErrPerm.identity(action.space)
+        rows = separation_report(action, 2, limit=rng.randrange(1, 60))
+        assert rows == [(w, hamming(reference_evaluate_word(action, w), ident)) for w, _ in rows]
 
 
 def test_defect_edge_cases():
     pres = Presentation(("a",), ((("a", 1),),))
-    # labels at or past space map out of range(space): no fixed point is counted there
-    stray = AlmostAction(pres, 2, {"a": ErrPerm(2, (7, 9), (7, 9))})
-    assert defect(stray) == reference_defect(stray) == 1
-    # a composite whose domain holds a label past space and misses a point of range(space)
-    out = AlmostAction(pres, 2, {"a": ErrPerm(2, (0, 5), (5, 0))})
-    for run in (defect, reference_defect):
-        with pytest.raises(PermstabError, match="^incomparable domains"):
-            run(out)
+    # an undefined point counts as moved
+    part = AlmostAction(pres, 3, {"a": ErrPerm(3, (0, 2), (0, 2))})
+    assert defect(part) == reference_defect(part) == Fraction(1, 3)
     # the empty relation, no relation and an empty underlying set give 0
     for rels in ((), ((),)):
         act = AlmostAction(Presentation(("a",), rels), 3, {"a": ErrPerm.from_cycle((0, 1, 2), 3)})
         assert defect(act) == 0
     empty = AlmostAction(pres, 0, {"a": ErrPerm(0, (), ())})
     assert defect(empty) == reference_defect(empty) == 0
-    # an unknown letter is refused before a later relation is measured, and after an earlier one
-    act = AlmostAction(pres, 2, {"a": ErrPerm(2, (0, 5), (5, 0))})
-    act.presentation = Presentation(("a", "z"), ((("a", 1),), (("z", 1),)))
-    with pytest.raises(PermstabError, match="^incomparable domains"):
-        defect(act)
-    act.presentation = Presentation(("a", "z"), ((("z", 1),), (("a", 1),)))
-    with pytest.raises(PermstabError, match="^unknown generator 'z'$"):
-        defect(act)
+    # an unknown letter is refused wherever its relation stands, on an empty set too
+    for space in (0, 2):
+        act = AlmostAction(pres, space, {"a": ErrPerm.identity(space)})
+        for rels in (((("a", 1),), (("z", 1),)), ((("z", 1),), (("a", 1),))):
+            act.presentation = Presentation(("a", "z"), rels)
+            with pytest.raises(PermstabError, match="^unknown generator 'z'$"):
+                defect(act)
 
 
 def test_inverse_pairs_are_checked_by_point_maps():
@@ -185,7 +200,7 @@ def test_inverse_pairs_are_checked_by_point_maps():
     seen = set()
     for _ in range(500):
         space = rng.randrange(0, 5)
-        dom = rng.sample(range(space + 2), rng.randrange(0, space + 1))
+        dom = rng.sample(range(space), rng.randrange(0, space + 1))
         img = list(dom)
         rng.shuffle(img)
         a = ErrPerm.from_mapping(dict(zip(dom, img)), space)
@@ -198,15 +213,15 @@ def test_inverse_pairs_are_checked_by_point_maps():
             with pytest.raises(PermstabError, match="^images of 'a' and 'b' are not mutually inverse$"):
                 AlmostAction(pres, space, {"a": a, "b": b})
     assert seen == {True, False}
-    # a three-cycle is not its own inverse; a partial map on labels past space has its inverse as partner
+    # a three-cycle is not its own inverse; a partial involution is its own partner
     cyc = ErrPerm.from_cycle((0, 1, 2), 3)
     with pytest.raises(PermstabError, match="not mutually inverse"):
         AlmostAction(pres, 3, {"a": cyc, "b": cyc})
     AlmostAction(pres, 3, {"a": cyc, "b": cyc.inverse()})
-    part = ErrPerm(3, (1, 4), (4, 1))
+    part = ErrPerm(3, (1, 2), (2, 1))
     AlmostAction(pres, 3, {"a": part, "b": part})
     with pytest.raises(PermstabError, match="not mutually inverse"):
-        AlmostAction(pres, 3, {"a": part, "b": ErrPerm(3, (1, 4, 5), (4, 1, 5))})
+        AlmostAction(pres, 3, {"a": part, "b": ErrPerm(3, (0, 1, 2), (0, 2, 1))})
 
 
 def test_defect_and_stage_report_match_reference():

@@ -242,30 +242,6 @@ MUTATIONS = (
     ),
     # actions: relations measured over point columns, inverse pairs by point maps
     (
-        "column-range-weakened",
-        PKG + "actions.py",
-        "dom = [x for x, y in zip(xs, ys) if 0 <= y < space]",
-        "dom = [x for x, y in zip(xs, ys) if y < space]",
-        ["tests/test_word_eval.py::test_defect_matches_reference_seeded"],
-    ),
-    (
-        "incomparable-domains-accepted",
-        PKG + "actions.py",
-        '            raise PermstabError("incomparable domains: neither contains the other")\n',
-        "            pass\n",
-        [
-            "tests/test_word_eval.py::test_defect_matches_reference_seeded",
-            "tests/test_word_eval.py::test_defect_edge_cases",
-        ],
-    ),
-    (
-        "fixed-point-counted-past-space",
-        PKG + "actions.py",
-        "if x == y and x < space)",
-        "if x == y)",
-        ["tests/test_word_eval.py::test_defect_edge_cases"],
-    ),
-    (
         "inverse-pair-map-against-map",
         PKG + "actions.py",
         "self.images[a]._inverse_map != self.images[b]._map",
@@ -316,13 +292,56 @@ MUTATIONS = (
         "if False:",
         ["tests/test_experiments.py::test_run_pipeline_refuses_a_failed_normalization_bound"],
     ),
-    # perms: the signed double is a permutation of range(2n)
+    # perms: every label of an ErrPerm lies in range(size), checked where it is built
     (
-        "signed-double-label-check-dropped",
+        "last-point-may-equal-size",
         PKG + "perms.py",
-        "    if perm.domain != tuple(range(perm.size)):\n",
-        "    if False:\n",
-        ["tests/test_perms.py::test_signed_double_is_a_permutation_of_an_even_range"],
+        "domain[-1] < size",
+        "domain[-1] <= size",
+        ["tests/test_perms.py::test_errperm_label_bounds_at_the_edges"],
+    ),
+    (
+        "negative-image-accepted",
+        PKG + "perms.py",
+        "0 <= min(images) and ",
+        "",
+        ["tests/test_perms.py::test_errperm_label_bounds_at_the_edges"],
+    ),
+    (
+        "stage2-old-tau-on-its-own-size",
+        PKG + "actions.py",
+        "old = inv.relabel(relabel, size=twice)",
+        "old = inv.relabel(relabel, size=inv.size)",
+        ["tests/test_actions.py::test_stage_reports_and_separation_are_pinned"],
+    ),
+    (
+        "loader-negative-point-accepted",
+        PKG + "fileio.py",
+        "            if min(x, y) < 0:\n",
+        "            if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "inferred-space-one-short",
+        PKG + "fileio.py",
+        "space = 1 + max(",
+        "space = max(",
+        ["tests/test_cli.py::test_action_without_space_keeps_the_inferred_size"],
+    ),
+    (
+        "presentation-unknown-name-unlined",
+        PKG + "fileio.py",
+        "            if name not in gens:\n",
+        "            if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    # symcochains: a checked cochain is read-only
+    (
+        "sym-values-left-mutable",
+        PKG + "symcochains.py",
+        '        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))\n',
+        "",
+        ["tests/test_sym.py::test_values_are_frozen_after_validation"],
     ),
     # perms: the involution check squares once
     (
