@@ -2,23 +2,32 @@
 sign-bookkeeping 1-cochain whose coboundary tracks them.
 
 A genuine action of the edge presentation of a connected complex defines a
-covering whose vertices are (base vertex, fiber point) pairs; higher cells
+covering whose vertices are (base vertex, fiber point) pairs: cover vertex
+``i*m + s`` is fiber point ``s`` over the ``i``-th base vertex.  Higher cells
 are lifted fiberwise, which is well defined because triangle and backtracking
-relations hold exactly.  ``contradiction_experiment`` runs the full distance
-experiment and insists on the proved inequality; a violation raises
-``BoundViolation`` and means the implementation is broken.
+relations hold exactly.  ``build_cover`` lifts each base cell over the whole
+fiber at once and records, for every cover cell, the base cell it lifts and
+the fiber point at its first vertex; the pull-back, the sign cochain and the
+triangle classifier read that record one base cell at a time.
+``contradiction_experiment`` runs the full distance experiment and insists on
+the proved inequality; a violation raises ``BoundViolation`` and means the
+implementation is broken.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, repeat
+from operator import itemgetter
 
 from .actions import (
     AlmostAction,
     _central_relations,
+    _column,
+    _letter_maps,
     action_distance,
-    apply_word,
     defect,
     induced_quotient_action,
     is_sign_commuting,
@@ -28,7 +37,6 @@ from .complexes import (
     Presentation,
     RootedTree,
     SimplicialComplex,
-    Word,
     _edge_presentation,
     edge_gen,
     spanning_tree,
@@ -38,12 +46,23 @@ from .errors import BoundViolation, PermstabError
 
 @dataclass
 class Covering:
+    """A covering of ``base`` with fiber ``range(fiber_size)``.
+
+    ``vertex_pair`` and ``vertex_id`` translate between cover vertices and
+    (base vertex, fiber point) pairs.  ``lifts`` is the lift record that
+    ``build_cover`` fills and the walkers read: ``lifts[k][p]`` is
+    ``j * fiber_size + s`` for the cover k-cell at canonical position ``p``,
+    which lifts the base k-cell at position ``j`` and has fiber point ``s``
+    at its first vertex.
+    """
+
     base: SimplicialComplex
     total: SimplicialComplex
     fiber_size: int
     action: AlmostAction
     vertex_pair: dict[int, tuple[int, int]]
     vertex_id: dict[tuple[int, int], int]
+    lifts: tuple[tuple[int, ...], ...] = ()
 
     def project_vertex(self, v: int) -> int:
         return self.vertex_pair[v][0]
@@ -55,10 +74,15 @@ class Covering:
 def build_cover(x: SimplicialComplex, action: AlmostAction) -> Covering:
     """Covering induced by an exact, total action of the edge presentation.
 
-    Vertices are pairs (base vertex, fiber point); (x,a)(y,b) is an edge when
-    the image of the oriented edge xy maps b to a.  Cells above dimension one
-    are lifted fiberwise.  Local bijectivity of the projection on every
-    vertex star is verified before returning.
+    Cover vertex ``i*m + s`` is the pair (``i``-th base vertex, fiber point
+    ``s``); (x,a)(y,b) is an edge when the image of the oriented edge xy maps
+    b to a.  A base k-cell (c0, ..., ck) lifts to m cells, one per fiber point
+    s at c0: its vertex over ci is the image of s under the edge ci c0.  The
+    lifts come out sorted because the base cell is, so each dimension is
+    ordered by one sort, whose permutation is the lift record.  The lifted
+    family must be closed (every face of a lifted cell is a lifted cell),
+    and the projection must be a bijection on every vertex star; both are
+    verified before returning.
     """
     if defect(action) != 0:
         raise PermstabError("the action has positive defect; stabilize first")
@@ -70,67 +94,82 @@ def build_cover(x: SimplicialComplex, action: AlmostAction) -> Covering:
     for g in action.generators:
         if not action.image(g).is_total:
             raise PermstabError(f"image of {g!r} is not total")
+    if not m:  # an empty fiber has no cover cells
+        raise PermstabError("a complex needs at least one cell")
 
-    vertex_id: dict[tuple[int, int], int] = {}
-    vertex_pair: dict[int, tuple[int, int]] = {}
-    for i, v in enumerate(x.vertices):
-        for star in range(m):
-            vid = i * m + star
-            vertex_id[(v, star)] = vid
-            vertex_pair[vid] = (v, star)
+    offset = {v: i * m for i, v in enumerate(x.vertices)}
+    vertex_id = {(v, s): o + s for v, o in offset.items() for s in range(m)}
+    vertex_pair = {vid: pair for pair, vid in vertex_id.items()}
 
-    cells: list[tuple[int, ...]] = [(vid,) for vid in vertex_pair]
+    # toward[b, a] lists the cover vertices over b of the lifts of edge ab, by fiber point over a
+    toward = {(b, a): [offset[b] + t for t in action.image(edge_gen(b, a)).images] for a, b in x.cells(1)}
+
+    faces = [tuple((vid,) for vid in vertex_pair)]
+    lifts = [tuple(range(len(vertex_pair)))]
     for k in range(1, x.dim + 1):
+        lifted: list[tuple[int, ...]] = []
         for cell in x.cells(k):
-            x0 = cell[0]
-            toward_x0 = [action.image(edge_gen(xi, x0)) for xi in cell[1:]]
-            for star in range(m):
-                lift = [vertex_id[(x0, star)]]
-                for xi, perm in zip(cell[1:], toward_x0):
-                    lift.append(vertex_id[(xi, perm.apply(star))])
-                cells.append(tuple(sorted(lift)))
+            c0 = cell[0]
+            lifted.extend(zip(range(offset[c0], offset[c0] + m), *(toward[ci, c0] for ci in cell[1:])))
+        order = sorted(range(len(lifted)), key=lifted.__getitem__)
+        cells = tuple(map(lifted.__getitem__, order))
+        if not set(faces[-1]).issuperset(chain.from_iterable(map(combinations, cells, repeat(k)))):
+            raise PermstabError(f"fiberwise lift failed in dimension {k - 1}")
+        faces.append(cells)
+        lifts.append(tuple(order))
 
-    total = SimplicialComplex.from_cells(cells)
-    cov = Covering(x, total, m, action, vertex_pair, vertex_id)
+    cov = Covering(x, SimplicialComplex(tuple(faces)), m, action, vertex_pair, vertex_id, tuple(lifts))
     _verify_cover(cov)
     return cov
 
 
 def _verify_cover(cov: Covering) -> None:
+    """Check the cell counts and that the projection is a bijection on every vertex star.
+
+    Each cover cell is projected once.  The star of a cover vertex projects
+    bijectively onto the star of its base vertex exactly when every
+    projection is a base cell, no (vertex, projection) pair repeats, and
+    every vertex lies in as many k-cells as its base vertex does.
+    """
     x, y, m = cov.base, cov.total, cov.fiber_size
     for k in range(x.dim + 1):
         if y.n_cells(k) != m * x.n_cells(k):
             raise PermstabError(f"fiberwise lift failed in dimension {k}")
-    star_of: dict[int, list[set]] = {}
-    for k in range(x.dim + 1):
-        for cell in x.cells(k):
-            for v in cell:
-                star_of.setdefault(v, [set() for _ in range(x.dim + 1)])[k].add(cell)
-    incident_of = {vid: [[] for _ in range(y.dim + 1)] for vid in cov.vertex_pair}
+    base_of = {vid: v for vid, (v, _) in cov.vertex_pair.items()}
     for k in range(y.dim + 1):
-        for cell in y.cells(k):
-            for vid in cell:
-                if vid in incident_of:
-                    incident_of[vid][k].append(cell)
-    for vid, (v, _) in cov.vertex_pair.items():
-        for k in range(y.dim + 1):
-            projected = [cov.project_cell(c) for c in incident_of[vid][k]]
-            if len(set(projected)) != len(projected) or set(projected) != star_of[v][k]:
-                raise PermstabError("projection is not a bijection on a vertex star")
+        cells, base_cells = y.cells(k), set(x.cells(k))
+        columns = [tuple(map(itemgetter(i), cells)) for i in range(k + 1)]  # i-th vertex of each cell
+        # a projection already in base order is kept; any other one is sorted
+        projected = [
+            p if p in base_cells else tuple(sorted(p))
+            for p in zip(*(map(base_of.__getitem__, col) for col in columns))
+        ]
+        pairs = set(chain.from_iterable(zip(col, projected) for col in columns))
+        incident = Counter(chain.from_iterable(columns))
+        star_size = Counter(chain.from_iterable(base_cells))
+        if (
+            not base_cells.issuperset(projected)
+            or len(pairs) != (k + 1) * len(cells)
+            or any(incident[vid] != star_size[v] for vid, v in base_of.items())
+        ):
+            raise PermstabError("projection is not a bijection on a vertex star")
+
+
+def _bits_at(digits, lift: tuple[int, ...]) -> int:
+    """Cochain bits with bit p equal to ``digits[lift[p]]``, a '0' or '1'."""
+    return int("".join(map(digits.__getitem__, reversed(lift))), 2)
 
 
 def pull_back_cocycle(phi: F2Cochain, cov: Covering) -> F2Cochain:
-    """Compose a cocycle with the covering projection."""
+    """Compose a cocycle with the covering projection: each lift takes its base cell's bit."""
     if phi.complex is not cov.base:
         raise PermstabError("cochain does not live on the base")
     if phi.degree < phi.complex.dim and not coboundary(phi).is_zero:
         raise PermstabError("not a cocycle")
-    y = cov.total
-    bits = 0
-    for j, cell in enumerate(y.cells(phi.degree)):
-        if phi(cov.project_cell(cell)):
-            bits |= 1 << j
-    return F2Cochain(y, phi.degree, bits)
+    m = cov.fiber_size
+    base_digits = format(phi.bits, f"0{phi.complex.n_cells(phi.degree)}b")[::-1]
+    digits = "".join(d * m for d in base_digits)
+    return F2Cochain(cov.total, phi.degree, _bits_at(digits, cov.lifts[phi.degree]))
 
 
 def zeta_cochain(psi: AlmostAction, f: AlmostAction, cov: Covering, tau: str = "tau"):
@@ -139,31 +178,26 @@ def zeta_cochain(psi: AlmostAction, f: AlmostAction, cov: Covering, tau: str = "
     A cover edge over xy with fiber points (a at x, b at y) is of the first
     type when the unsigned shadow of psi agrees there with the covering
     action; its bit is then the sign psi attaches to +b.  Second-type edges
-    (including fiber points outside psi's ground set) get 0.
+    (including fiber points outside psi's ground set) get 0.  Each base edge
+    is read once, as a column over the fiber points at its first vertex.
     """
     if not (cov.action is f or cov.action.images == f.images):
         raise PermstabError("cover was not built from this action")
     if not is_sign_commuting(psi, tau):
         raise PermstabError("psi must send tau to the sign flip and commute with it")
-    n = psi.space // 2
-    if n > cov.fiber_size:
+    if psi.space // 2 > cov.fiber_size:
         raise PermstabError("psi's ground set exceeds the covering fiber")
-    y = cov.total
-    bits = 0
-    types: dict[tuple[int, int], str] = {}
-    for j, (va, vb) in enumerate(y.cells(1)):
-        (xa, sa), (xb, sb) = cov.vertex_pair[va], cov.vertex_pair[vb]
-        if xa > xb:
-            (xa, sa), (xb, sb) = (xb, sb), (xa, sa)
-        kind = "second"
-        if sb < n:
-            img = psi.image(edge_gen(xa, xb)).apply(2 * sb)
-            if img >> 1 == sa:
-                kind = "first"
-                if img & 1:
-                    bits |= 1 << j
-        types[(va, vb)] = kind
-    return F2Cochain(y, 1, bits), types
+    kinds, signs = [], []
+    for (a, b) in cov.base.cells(1):
+        # +t for the fiber point t over b of each lift; a t outside psi's ground set maps to ERROR
+        plus_t = [2 * t for t in cov.action.image(edge_gen(b, a)).images]
+        for s, img in enumerate(_column([psi.image(edge_gen(a, b))._map], plus_t)):
+            first = img >> 1 == s
+            kinds.append("first" if first else "second")
+            signs.append("1" if first and img & 1 else "0")
+    y, lift = cov.total, cov.lifts[1]
+    types = dict(zip(y.cells(1), map(kinds.__getitem__, lift)))
+    return F2Cochain(y, 1, _bits_at(signs, lift)), types
 
 
 def _cover_triangles(psi: AlmostAction, phi: F2Cochain, cov: Covering, types: dict):
@@ -172,16 +206,29 @@ def _cover_triangles(psi: AlmostAction, phi: F2Cochain, cov: Covering, types: di
     The triangle's vertices are read in base-vertex order.  It has a second
     type edge when some edge is not of the first type in ``types``; it is
     tracked when psi carries the fiber point at its first vertex once around
-    the triangle to itself, signed by phi.
+    the triangle to itself, signed by phi.  Each base triangle's word is
+    evaluated once, as a column over the fiber.
     """
-    n = psi.space // 2
-    for j, cell in enumerate(cov.total.cells(2)):
-        va, vb, vc = sorted(cell, key=lambda v: cov.vertex_pair[v][0])
-        second = any(types[tuple(sorted(e))] != "first" for e in ((va, vb), (vb, vc), (va, vc)))
-        (xx, sx), (yy, _), (zz, _) = (cov.vertex_pair[v] for v in (va, vb, vc))
-        word: Word = ((edge_gen(xx, yy), 1), (edge_gen(yy, zz), 1), (edge_gen(zz, xx), 1))
-        tracked = sx < n and apply_word(psi, word, 2 * sx) == 2 * sx + phi((xx, yy, zz))
-        yield j, cell, second, tracked
+    x, y, m = cov.base, cov.total, cov.fiber_size
+    first = [False] * y.n_cells(1)  # by edge lift index
+    for i, edge in zip(cov.lifts[1], y.cells(1)):
+        first[i] = types[edge] == "first"
+    plus = [2 * s for s in range(min(psi.space // 2, m))]  # the points psi tracks, doubled
+    second, tracked = [], []
+    for tri in x.cells(2):
+        a, b, c = tri
+        ab, ac, bc = (m * x.cell_position(e) for e in ((a, b), (a, c), (b, c)))
+        at_b = cov.action.image(edge_gen(b, a)).images
+        second.extend(
+            not (first[ab + s] and first[bc + t] and first[ac + s]) for s, t in enumerate(at_b)
+        )
+        if plus:
+            word = ((edge_gen(a, b), 1), (edge_gen(b, c), 1), (edge_gen(c, a), 1))
+            signed = phi(tri)
+            tracked.extend(z == p + signed for p, z in zip(plus, _column(_letter_maps(psi, word), plus)))
+        tracked.extend(repeat(False, m - len(plus)))
+    for j, (i, cell) in enumerate(zip(cov.lifts[2], y.cells(2))):
+        yield j, cell, second[i], tracked[i]
 
 
 def first_type_triangle_check(

@@ -161,8 +161,10 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
         return name
 
     mappings = {}
-    for name, _, body in _blocks(lines, "generator", generator):
+    header = {}  # generator -> line number of its block's header
+    for name, lineno, body in _blocks(lines, "generator", generator):
         mapping = mappings[name] = {}
+        header[name] = lineno
         for lineno, line in body:
             x, y = _map_line(line, lineno)
             if min(x, y) < 0:
@@ -172,6 +174,13 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
             if x in mapping:
                 raise FormatError(f"point {x} mapped twice", lineno)
             mapping[x] = y
+    # whole-block faults, once every line has been read, at the block's header
+    for name, mapping in mappings.items():
+        if set(mapping) != set(mapping.values()):
+            raise FormatError(f"image of {name!r} is not a bijection of its domain", header[name])
+    for a, b in presentation.inverse_pairs:
+        if a in mappings and b in mappings and mappings[b] != {y: x for x, y in mappings[a].items()}:
+            raise FormatError(f"images of {a!r} and {b!r} are not mutually inverse", max(header[a], header[b]))
     if space is None:
         points = [p for mapping in mappings.values() for p in (*mapping, *mapping.values())]
         space = 1 + max(points, default=-1)

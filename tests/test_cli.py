@@ -218,6 +218,23 @@ LOADER_ERRORS = [
         "generator a\n0 -> 1\n1 -> -3\n",
         "^line 3: point -3 is negative$",
     ),
+    # a block that is not a bijection of its domain, or a declared pair that is
+    # not mutually inverse, is refused at the 'generator' header of the block
+    (
+        lambda text: fileio.load_action(text, Presentation(("a", "b"), (), (("a", "b"),))),
+        "space 3\ngenerator a\n0 -> 1\ngenerator b\n1 -> 0\n",
+        "^line 2: image of 'a' is not a bijection of its domain$",
+    ),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a",), ())),
+        "generator a\n0 -> 1\n1 -> 1\n",
+        "^line 1: image of 'a' is not a bijection of its domain$",
+    ),
+    (
+        lambda text: fileio.load_action(text, Presentation(("a", "b"), (), (("a", "b"),))),
+        "space 3\ngenerator a\n0 -> 1\n1 -> 2\n2 -> 0\n# partner\ngenerator b\n0 -> 1\n1 -> 2\n2 -> 0\n",
+        "^line 7: images of 'a' and 'b' are not mutually inverse$",
+    ),
     # a presentation names the line of a repeated or unknown generator
     (fileio.load_presentation, "gen a\nrel a x\n", "^line 2: relation uses unknown generator 'x'$"),
     (fileio.load_presentation, "gen a\n# again\ngen a\n", "^line 3: generator 'a' given twice$"),

@@ -233,6 +233,19 @@ def test_build_cover_refuses_a_lift_that_is_not_closed():
         build_cover(x, AlmostAction(pres, 2, images))
 
 
+def test_verify_cover_rejects_a_star_that_repeats_a_projection_with_every_count_right():
+    # over the hollow triangle with m=2 (vertex (v, s) has id 2v+s), vertex 0
+    # has two edges over 01 and none over 02, yet every vertex has degree 2
+    # and every dimension has 2 cells per base cell
+    base = hollow_polygon(3)
+    pair = {2 * v + s: (v, s) for v in range(3) for s in range(2)}
+    total = SimplicialComplex.from_cells([(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5)])
+    cov = covers.Covering(base, total, 2, None, pair, {p: vid for vid, p in pair.items()})
+    assert all(len(total.neighbors(v)) == 2 for v in total.vertices)
+    with pytest.raises(PermstabError, match="projection is not a bijection on a vertex star"):
+        covers._verify_cover(cov)
+
+
 def test_walkers_are_reached_through_the_module(monkeypatch):
     x, phi, raw, f = build_instance(ExperimentConfig(seed=4, epsilon=Fraction(1, 20), fiber=12))
     psi, _ = normalize_sofic_approx(raw)

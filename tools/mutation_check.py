@@ -50,17 +50,17 @@ MUTATIONS = (
         ["tests/test_covers.py::test_cover_tree_keeps_every_lift_of_the_base_tree"],
     ),
     (
-        "tracked-short-circuited-by-edge-test",
+        "tracked-ignores-the-phi-sign",
         PKG + "covers.py",
-        "tracked = sx < n and",
-        "tracked = not second and sx < n and",
+        "z == p + signed for p, z",
+        "z == p for p, z",
         ["tests/test_steps_diff.py::test_contradiction_experiment_matches_old"],
     ),
     (
         "all-instead-of-any-edge-type",
         PKG + "covers.py",
-        'second = any(types[tuple(sorted(e))] != "first"',
-        'second = all(types[tuple(sorted(e))] != "first"',
+        "not (first[ab + s] and first[bc + t] and first[ac + s])",
+        "not (first[ab + s] or first[bc + t] or first[ac + s])",
         ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
     ),
     (
@@ -69,6 +69,42 @@ MUTATIONS = (
         "if tracked and not second",
         "if tracked",
         ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
+    ),
+    # covers: the cover lifted fiber by fiber, and the walkers reading the lift record
+    (
+        "lift-closure-unchecked",
+        PKG + "covers.py",
+        'raise PermstabError(f"fiberwise lift failed in dimension {k - 1}")',
+        "pass",
+        ["tests/test_cover_lift.py::test_build_cover_refuses_a_lift_that_is_not_closed"],
+    ),
+    (
+        "triangles-left-unsorted",
+        PKG + "covers.py",
+        "order = sorted(range(len(lifted)), key=lifted.__getitem__)",
+        "order = sorted(range(len(lifted)), key=lifted.__getitem__) if k != 2 else list(range(len(lifted)))",
+        ["tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded"],
+    ),
+    (
+        "pull-back-fiber-point-as-base-cell",
+        PKG + "covers.py",
+        'digits = "".join(d * m for d in base_digits)',
+        "digits = base_digits * m",
+        ["tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded"],
+    ),
+    (
+        "zeta-sign-bit-dropped",
+        PKG + "covers.py",
+        'signs.append("1" if first and img & 1 else "0")',
+        'signs.append("1" if first else "0")',
+        ["tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded"],
+    ),
+    (
+        "verify-cover-repeated-pair-unchecked",
+        PKG + "covers.py",
+        "            or len(pairs) != (k + 1) * len(cells)\n",
+        "",
+        ["tests/test_cover_lift.py::test_verify_cover_rejects_a_star_that_repeats_a_projection_with_every_count_right"],
     ),
     # experiments: one coherent-noise loop
     (
@@ -260,6 +296,20 @@ MUTATIONS = (
         PKG + "fileio.py",
         "if space is not None and max(x, y) >= space:",
         "if False:",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "loader-block-fault-without-header-line",
+        PKG + "fileio.py",
+        "        if set(mapping) != set(mapping.values()):\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "loader-pair-fault-without-header-line",
+        PKG + "fileio.py",
+        "if a in mappings and b in mappings and mappings[b]",
+        "if False and mappings[b]",
         ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
     ),
     # actions: one statement of the central-extension relations
