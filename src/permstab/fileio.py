@@ -20,7 +20,10 @@ Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 In actions and sym cochains every content line after the preamble belongs to
 a block: a line before the first block header and a header repeating an
 earlier key are refused.  A malformed line or header raises ``FormatError``
-with its line number.
+with its line number.  An action block that is not a bijection of its
+domain, or a declared inverse pair whose blocks are not mutually inverse, is
+refused once every line is read, at the ``generator`` header of the block
+(of the later block, for a pair).
 """
 
 from __future__ import annotations
@@ -162,9 +165,9 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
 
     mappings = {}
     header = {}  # generator -> line number of its block's header
-    for name, lineno, body in _blocks(lines, "generator", generator):
+    for name, head, body in _blocks(lines, "generator", generator):
         mapping = mappings[name] = {}
-        header[name] = lineno
+        header[name] = head
         for lineno, line in body:
             x, y = _map_line(line, lineno)
             if min(x, y) < 0:
@@ -174,7 +177,7 @@ def load_action(text: str, presentation: Presentation) -> AlmostAction:
             if x in mapping:
                 raise FormatError(f"point {x} mapped twice", lineno)
             mapping[x] = y
-    # whole-block faults, once every line has been read, at the block's header
+    # whole-block faults are named after every line fault, at the block's header
     for name, mapping in mappings.items():
         if set(mapping) != set(mapping.values()):
             raise FormatError(f"image of {name!r} is not a bijection of its domain", header[name])
