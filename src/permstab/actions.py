@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq
 
 from .complexes import Presentation, Word, free_reduce
 from .errors import PermstabError
@@ -47,7 +49,7 @@ class AlmostAction:
             if not perm.is_bijection:
                 raise PermstabError(f"image of {g!r} is not a bijection of its domain")
         for a, b in self.presentation.inverse_pairs:
-            if self.images[a]._inverse_map != self.images[b]._map:
+            if self.images[a]._inverse_line != self.images[b]._line:
                 raise PermstabError(f"images of {a!r} and {b!r} are not mutually inverse")
 
     def image(self, g: str) -> ErrPerm:
@@ -58,26 +60,28 @@ class AlmostAction:
         return self.presentation.generators
 
 
-def _letter_maps(action: AlmostAction, word: Word) -> list[dict[int, int]]:
-    """Point maps of the word's letters, left to right; inverse letters read inverted."""
-    maps = []
+def _letter_lines(action: AlmostAction, word: Word) -> list[list[int]]:
+    """One-line views of the word's letters, left to right; inverse letters read inverted."""
+    lines = []
     for sym, exp in word:
         perm = action.images.get(sym)
         if perm is None:
             raise PermstabError(f"unknown generator {sym!r}")
-        maps.append(perm._inverse_map if exp < 0 else perm._map)
-    return maps
+        lines.append(perm._inverse_line if exp < 0 else perm._line)
+    return lines
 
 
-def _column(maps: list[dict[int, int]], points: list[int]) -> list[int]:
-    """The images of a column of points under the letter maps, right to left.
+def _column(lines: list[list[int]], points) -> list[int]:
+    """The images of a column of points under the letter lines, right to left.
 
-    ``ERROR`` is never a key, as labels are non-negative, so it absorbs.
+    Each line holds ``size + 1`` entries: the image of every point of
+    range(size), ``ERROR`` off the domain, and a trailing ``ERROR``.  As
+    ``ERROR == -1`` indexes that last entry, ``ERROR`` absorbs.  Every point
+    must lie in range(size) of each line, or be ``ERROR``.
     """
     vals = points
-    for point_map in reversed(maps):
-        get = point_map.get
-        vals = [get(v, ERROR) for v in vals]
+    for line in reversed(lines):
+        vals = [line[v] for v in vals]
     return vals
 
 
@@ -88,45 +92,47 @@ def apply_word(action: AlmostAction, word: Word, x: int) -> int:
     ``range(action.space)`` is in no domain, so it goes to ``ERROR``, as
     under the identity the evaluation starts from.
     """
-    maps = _letter_maps(action, word)
-    if not maps:
-        return x if 0 <= x < action.space else ERROR
-    for point_map in reversed(maps):
-        x = point_map.get(x, ERROR)
+    lines = _letter_lines(action, word)
+    if not 0 <= x < action.space:
+        return ERROR
+    for line in reversed(lines):
+        x = line[x]
     return x
 
 
 def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
     """Compose images right-to-left; the empty word is the identity.
 
-    The rightmost letter's domain is mapped as one column of points; the
-    composite's domain is the part of it that the whole word keeps defined.
+    The points of range(space) are mapped as one column; the composite's
+    domain is the part of it that the whole word keeps defined.
     """
-    maps = _letter_maps(action, word)
-    if not maps:
-        return ErrPerm.identity(action.space)
-    xs = sorted(maps[-1])
-    pairs = [(x, y) for x, y in zip(xs, _column(maps, xs)) if y != ERROR]
-    return ErrPerm(action.space, tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
+    col = _column(_letter_lines(action, word), range(action.space))
+    keep = [y != ERROR for y in col]
+    return ErrPerm(action.space, tuple(compress(range(action.space), keep)), tuple(compress(col, keep)))
 
 
-def _word_distance(action: AlmostAction, word: Word) -> Fraction:
-    """One minus the fixed-point fraction of the word's composite; 0 on an empty set.
+def _fixed_count(action: AlmostAction, word: Word) -> int:
+    """How many points of range(space) the word's composite fixes; all of them for the empty word."""
+    points = range(action.space)
+    return sum(map(eq, _column(_letter_lines(action, word), points), points))
 
-    This is the ``hamming`` distance of ``evaluate_word(action, word)`` from
-    the identity, counted over a column of points without building either.
+
+def _distance(action: AlmostAction, fixed: int) -> Fraction:
+    """One minus the fixed-point fraction over range(space); 0 on an empty set.
+
+    With ``fixed`` a word's ``_fixed_count``, this is the ``hamming`` distance
+    of ``evaluate_word(action, word)`` from the identity.
     """
-    maps = _letter_maps(action, word)
-    if not (maps and action.space):
-        return Fraction(0)
-    xs = list(maps[-1])
-    fixed = sum(1 for x, y in zip(xs, _column(maps, xs)) if x == y)
-    return 1 - Fraction(fixed, action.space)
+    return 1 - Fraction(fixed, action.space) if action.space else Fraction(0)
 
 
 def defect(action: AlmostAction) -> Fraction:
-    """max over relations of the distance of the evaluated word from the identity."""
-    return max((_word_distance(action, rel) for rel in action.presentation.relations), default=Fraction(0))
+    """max over relations of the distance of the evaluated word from the identity.
+
+    That is the distance of the relation that fixes the fewest points.
+    """
+    relations = action.presentation.relations
+    return _distance(action, min((_fixed_count(action, rel) for rel in relations), default=action.space))
 
 
 def action_distance(a: AlmostAction, b: AlmostAction) -> Fraction:
@@ -202,11 +208,11 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
     # stage 2: drop fixed points, relabel the result as a signed double
     fpf = fix_fixed_point_free(inv)
     twice = fpf.size
-    orbits = sorted(x for x in fpf.domain if x < fpf.apply(x))
+    orbits = [(x, y) for x, y in zip(fpf.domain, fpf.images) if x < y]
     relabel = {}
-    for i, x in enumerate(orbits):
+    for i, (x, y) in enumerate(orbits):
         relabel[x] = signed_encode(1, i)
-        relabel[fpf.apply(x)] = signed_encode(-1, i)
+        relabel[y] = signed_encode(-1, i)
     pad = [x for x in fpf.domain if x not in relabel]
     if pad:
         raise PermstabError("internal: fixed points survived the pairing")
@@ -217,7 +223,7 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
             new = fpf.relabel(relabel)
             old = inv.relabel(relabel, size=twice)
         else:
-            extended = {x: perm.apply(x) for x in perm.domain}
+            extended = dict(zip(perm.domain, perm.images))
             for x in fpf.domain:
                 if x not in extended:
                     extended[x] = x
@@ -300,7 +306,7 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
             raise PermstabError(f"image of {g!r} is partial")
         if not commutes_with_flip(perm):
             raise PermstabError(f"image of {g!r} does not commute with the sign flip")
-        images[g] = ErrPerm.from_one_line(tuple(perm.apply(2 * x) >> 1 for x in range(n)))
+        images[g] = ErrPerm.from_one_line([y >> 1 for y in perm.images[::2]])
     return AlmostAction(quotient_presentation(action.presentation, tau), n, images)
 
 
@@ -322,7 +328,7 @@ def separation_report(action: AlmostAction, max_len: int, limit: int = 2000):
                     if free_reduce(cand) != cand:
                         continue
                     new.append(cand)
-                    out.append((cand, _word_distance(action, cand)))
+                    out.append((cand, _distance(action, _fixed_count(action, cand))))
                     if len(out) >= limit:
                         return out
         frontier = new

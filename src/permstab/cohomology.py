@@ -66,13 +66,18 @@ def cochain_from_support(x: SimplicialComplex, k: int, cells) -> F2Cochain:
 
 
 def delta_columns(x: SimplicialComplex, k: int) -> tuple[int, ...]:
-    """Per k-cell, the bitset of (k+1)-cells containing it."""
+    """Per k-cell, the bitset of (k+1)-cells containing it.
+
+    Cells are sorted vertex tuples, so the faces ``combinations`` yields are
+    sorted too and are looked up in the position index as they are.
+    """
     key = ("delta_cols", k)
     if key not in x._cache:
         cols = [0] * x.n_cells(k)
+        index = x._index[k]
         for j, cell in enumerate(x.cells(k + 1)):
             for face in combinations(cell, k + 1):
-                cols[x.cell_position(face)] |= 1 << j
+                cols[index[face]] |= 1 << j
         x._cache[key] = tuple(cols)
     return x._cache[key]
 

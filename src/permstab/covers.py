@@ -26,7 +26,7 @@ from .actions import (
     AlmostAction,
     _central_relations,
     _column,
-    _letter_maps,
+    _letter_lines,
     action_distance,
     defect,
     induced_quotient_action,
@@ -42,6 +42,7 @@ from .complexes import (
     spanning_tree,
 )
 from .errors import BoundViolation, PermstabError
+from .perms import ERROR
 
 
 @dataclass
@@ -188,10 +189,11 @@ def zeta_cochain(psi: AlmostAction, f: AlmostAction, cov: Covering, tau: str = "
     if psi.space // 2 > cov.fiber_size:
         raise PermstabError("psi's ground set exceeds the covering fiber")
     kinds, signs = [], []
+    pad = [ERROR] * (2 * cov.fiber_size - psi.space)  # +t for a fiber point t outside psi's ground set
     for (a, b) in cov.base.cells(1):
-        # +t for the fiber point t over b of each lift; a t outside psi's ground set maps to ERROR
+        # +t for the fiber point t over b of each lift, read on psi's line padded with ERROR
         plus_t = [2 * t for t in cov.action.image(edge_gen(b, a)).images]
-        for s, img in enumerate(_column([psi.image(edge_gen(a, b))._map], plus_t)):
+        for s, img in enumerate(_column([psi.image(edge_gen(a, b))._line + pad], plus_t)):
             first = img >> 1 == s
             kinds.append("first" if first else "second")
             signs.append("1" if first and img & 1 else "0")
@@ -225,7 +227,7 @@ def _cover_triangles(psi: AlmostAction, phi: F2Cochain, cov: Covering, types: di
         if plus:
             word = ((edge_gen(a, b), 1), (edge_gen(b, c), 1), (edge_gen(c, a), 1))
             signed = phi(tri)
-            tracked.extend(z == p + signed for p, z in zip(plus, _column(_letter_maps(psi, word), plus)))
+            tracked.extend(z == p + signed for p, z in zip(plus, _column(_letter_lines(psi, word), plus)))
         tracked.extend(repeat(False, m - len(plus)))
     for j, (i, cell) in enumerate(zip(cov.lifts[2], y.cells(2))):
         yield j, cell, second[i], tracked[i]

@@ -26,7 +26,7 @@ from .complexes import (
 from .covers import ExperimentReport, contradiction_experiment, extension_from_cocycle
 from .errors import BoundViolation, PermstabError
 from .fileio import csv_text, format_decimal, format_fraction
-from .perms import ErrPerm, compose, hamming, power, sign_flip, signed_encode
+from .perms import ErrPerm, compose, hamming, power, sign_flip
 from .rng import SplitMix64
 
 
@@ -41,10 +41,11 @@ def _subset_shuffle(rng: SplitMix64, n: int, k: int):
 def _support_perm(space: int, eps: Fraction, rng: SplitMix64) -> ErrPerm:
     """Uniform permutation of a random floor(eps*space)-subset, identity elsewhere."""
     k = int(eps * space)
-    mapping = {i: i for i in range(space)}
+    line = list(range(space))
     if k >= 2:  # a single point cannot move, and drawing it would shift the seeded stream
-        mapping.update(_subset_shuffle(rng, space, k))
-    return ErrPerm.from_mapping(mapping, space)
+        for a, b in _subset_shuffle(rng, space, k):
+            line[a] = b
+    return ErrPerm.from_one_line(line)
 
 
 def _coherent_noise(action: AlmostAction, skip, noise_of) -> tuple[AlmostAction, dict[str, Fraction]]:
@@ -233,15 +234,15 @@ def sign_twisted_lift(
     for (a, b) in x.cells(1):
         bit = edge_signs((a, b))
         for (u, v) in ((a, b), (b, a)):
-            perm = f.image(edge_gen(u, v))
-            table = {}
-            for star in range(n):
-                target = perm.apply(star)
-                if not 0 <= target < n:
-                    raise PermstabError("the action does not preserve the lifted points")
-                for s in (0, 1):
-                    table[signed_encode(1 - 2 * s, star)] = 2 * target + (s ^ bit)
-            images[edge_gen(u, v)] = ErrPerm.from_mapping(table, 2 * n)
+            # f's images of range(n); past f's set the line's trailing ERROR shows
+            targets = f.image(edge_gen(u, v))._line[:n]
+            if not all(0 <= y < n for y in targets):
+                raise PermstabError("the action does not preserve the lifted points")
+            # +t = 2t goes to 2f(t) + bit, and -t = 2t+1 to 2f(t) + (1 ^ bit)
+            line = []
+            for y in targets:
+                line += (2 * y + bit, 2 * y + (1 ^ bit))
+            images[edge_gen(u, v)] = ErrPerm.from_one_line(line)
     return AlmostAction(pres, 2 * n, images)
 
 

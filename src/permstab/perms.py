@@ -4,9 +4,17 @@ An ``ErrPerm`` is a partial injection of ``range(size)``: every point of its
 domain and every image lies in ``range(size)``, which construction checks.
 Evaluation outside the domain returns the distinguished ``ERROR`` element
 (-1, never a point), which composition absorbs.  A genuine permutation has
-``len(domain) == size``.  The signed double of range(n) used by the sign-flip
-repair is a permutation of range(2n): point +x is encoded as 2x and -x as
-2x+1, so the sign flip sends p to p ^ 1.
+``len(domain) == size``, and then ``images`` is its one-line form.  The signed
+double of range(n) used by the sign-flip repair is a permutation of range(2n):
+point +x is encoded as 2x and -x as 2x+1, so the sign flip sends p to p ^ 1.
+
+The hot paths read an ``ErrPerm`` through its cached one-line views
+``_line`` and ``_inverse_line``: lists of ``size + 1`` entries that hold the
+image (or preimage) of every point of ``range(size)``, ``ERROR`` off the
+domain, and one trailing ``ERROR``.  Because ``ERROR == -1`` indexes that
+trailing entry, ``line[v]`` sends ``ERROR`` to ``ERROR`` without a branch, so
+a column of points is carried through a word by plain indexing.  A line may
+only be indexed by a point of ``range(size)`` or by ``ERROR``.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice
+from operator import eq, lt
 
 from .errors import PermstabError
 
@@ -30,7 +40,7 @@ class ErrPerm:
         domain, images, size = self.domain, self.images, self.size
         if len(domain) != len(images):
             raise PermstabError("domain/image length mismatch")
-        if any(domain[i] >= domain[i + 1] for i in range(len(domain) - 1)):
+        if not all(map(lt, domain, islice(domain, 1, None))):
             raise PermstabError("domain must be strictly increasing")
         if domain and not (0 <= domain[0] and domain[-1] < size and 0 <= min(images) and max(images) < size):
             raise PermstabError(f"point label outside range({size})")
@@ -38,15 +48,23 @@ class ErrPerm:
             raise PermstabError("images not injective")
 
     @cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(zip(self.domain, self.images))
+    def _line(self) -> list[int]:
+        """The image of every point of range(size), ``ERROR`` off the domain, then one ``ERROR``."""
+        line = [ERROR] * (self.size + 1)
+        for x, y in zip(self.domain, self.images):
+            line[x] = y
+        return line
 
     @cached_property
-    def _inverse_map(self) -> dict[int, int]:
-        return dict(zip(self.images, self.domain))
+    def _inverse_line(self) -> list[int]:
+        """The preimage of every point of range(size), ``ERROR`` off the image, then one ``ERROR``."""
+        line = [ERROR] * (self.size + 1)
+        for x, y in zip(self.domain, self.images):
+            line[y] = x
+        return line
 
     def apply(self, x: int) -> int:
-        return self._map.get(x, ERROR)
+        return self._line[x] if 0 <= x < self.size else ERROR
 
     def __call__(self, x: int) -> int:
         return self.apply(x)
@@ -57,18 +75,16 @@ class ErrPerm:
 
     @property
     def is_bijection(self) -> bool:
-        return set(self.domain) == set(self.images)
+        """Whether the images are the domain; a total injection of range(size) always is."""
+        return self.is_total or set(self.domain) == set(self.images)
 
     def inverse(self) -> "ErrPerm":
-        pairs = sorted(zip(self.images, self.domain))
-        return ErrPerm(
-            self.size,
-            tuple(p[0] for p in pairs),
-            tuple(p[1] for p in pairs),
-        )
+        domain = tuple(sorted(self.images))
+        line = self._inverse_line
+        return ErrPerm(self.size, domain, tuple([line[y] for y in domain]))
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(x for x in self.domain if self._map[x] == x)
+        return tuple(x for x, y in zip(self.domain, self.images) if x == y)
 
     @staticmethod
     def identity(n: int) -> "ErrPerm":
@@ -109,14 +125,15 @@ class ErrPerm:
 
 
 def compose(f: ErrPerm, g: ErrPerm) -> ErrPerm:
-    """f after g; anything that reaches the error element stays there."""
-    dom, img = [], []
-    for x in g.domain:
-        y = f.apply(g.apply(x))
-        if y != ERROR:
-            dom.append(x)
-            img.append(y)
-    return ErrPerm(max(f.size, g.size), tuple(dom), tuple(img))
+    """f after g; anything that reaches the error element stays there.
+
+    ``f``'s line is padded with ``ERROR`` up to ``g``'s size, so an image of
+    ``g`` past ``f``'s set reaches ``ERROR``.
+    """
+    line = f._line + [ERROR] * (g.size - f.size)
+    ys = [line[y] for y in g.images]
+    keep = [y != ERROR for y in ys]
+    return ErrPerm(max(f.size, g.size), tuple(compress(g.domain, keep)), tuple(compress(ys, keep)))
 
 
 def power(f: ErrPerm, k: int) -> ErrPerm:
@@ -133,18 +150,17 @@ def hamming(a: ErrPerm, b: ErrPerm) -> Fraction:
     Requires one domain to contain the other; normalizes by the larger
     underlying set.
     """
-    ma, mb = a._map, b._map
-    if ma.keys() <= mb.keys():
-        small = a.domain
-    elif mb.keys() <= ma.keys():
-        small = b.domain
-    else:
+    if len(a.domain) > len(b.domain):
+        a, b = b, a  # a has the smaller domain; the count is symmetric
+    # b's images at a's points, past b's set read as ERROR
+    line = b._line + [ERROR] * (a.size - b.size)
+    ys = [line[x] for x in a.domain]
+    if ERROR in ys:  # a's domain is not inside b's, and being no larger, does not contain it
         raise PermstabError("incomparable domains: neither contains the other")
-    agree = sum(1 for x in small if ma[x] == mb[x])
     denom = max(a.size, b.size)
     if denom == 0:
         return Fraction(0)
-    return 1 - Fraction(agree, denom)
+    return 1 - Fraction(sum(map(eq, a.images, ys)), denom)
 
 
 def fix_to_involution(zeta: ErrPerm) -> ErrPerm:
@@ -155,10 +171,8 @@ def fix_to_involution(zeta: ErrPerm) -> ErrPerm:
     """
     if not (zeta.is_total and zeta.is_bijection):
         raise PermstabError("need a genuine permutation")
-    square = compose(zeta, zeta)
-    keep = {x for x in zeta.domain if square.apply(x) == x}
-    mapping = {x: (zeta.apply(x) if x in keep else x) for x in zeta.domain}
-    return ErrPerm.from_mapping(mapping, zeta.size)
+    line = zeta.images
+    return ErrPerm.from_one_line([y if line[y] == x else x for x, y in enumerate(line)])
 
 
 def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
@@ -170,18 +184,16 @@ def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
     """
     if not (zeta.is_total and zeta.is_bijection):
         raise PermstabError("need a genuine permutation")
-    square = compose(zeta, zeta)
-    if any(square.apply(x) != x for x in zeta.domain):
+    line = list(zeta.images)
+    if any(line[y] != x for x, y in enumerate(line)):
         raise PermstabError("input is not an involution")
-    fixed = sorted(zeta.fixed_points())
-    mapping = {x: zeta.apply(x) for x in zeta.domain if zeta.apply(x) != x}
+    fixed = [x for x, y in enumerate(line) if x == y]
     if len(fixed) % 2 == 1:
         fixed.append(zeta.size)
-    for i in range(0, len(fixed), 2):
-        a, b = fixed[i], fixed[i + 1]
-        mapping[a] = b
-        mapping[b] = a
-    return ErrPerm.from_mapping(mapping)
+        line.append(zeta.size)
+    for a, b in zip(fixed[::2], fixed[1::2]):
+        line[a], line[b] = b, a
+    return ErrPerm.from_one_line(line)
 
 
 # -- signed points ------------------------------------------------------
@@ -204,9 +216,14 @@ def _check_signed(perm: ErrPerm) -> None:
 
 
 def commutes_with_flip(perm: ErrPerm) -> bool:
-    """Whether a permutation of the signed double commutes with the sign flip."""
+    """Whether a permutation of the signed double commutes with the sign flip.
+
+    It does when every -x goes to the flip of the image of +x: the pairs
+    {2x, 2x+1} then go to pairs, and p ^ 1 to the image of p ^ 1.
+    """
     _check_signed(perm)
-    return all(perm.images[p ^ 1] == perm.images[p] ^ 1 for p in range(perm.size))
+    images = perm.images
+    return [y ^ 1 for y in images[::2]] == list(images[1::2])
 
 
 def commute_with_sign_flip(zeta: ErrPerm) -> ErrPerm:
@@ -219,25 +236,13 @@ def commute_with_sign_flip(zeta: ErrPerm) -> ErrPerm:
     sign-flip commutator from the identity.
     """
     _check_signed(zeta)
-    n = zeta.size // 2
-    good = [
-        x
-        for x in range(n)
-        if zeta.apply(signed_encode(-1, x)) == zeta.apply(signed_encode(1, x)) ^ 1
-    ]
-    good_set = set(good)
-    shadow = {x: zeta.apply(signed_encode(1, x)) >> 1 for x in good}
-    used = set(shadow.values())
-    free_targets = [y for y in range(n) if y not in used]
-    free_sources = [x for x in range(n) if x not in good_set]
-    for x, y in zip(free_sources, free_targets):
-        shadow[x] = y
-    images = [0] * (2 * n)
-    for x in range(n):
-        if x in good_set:
-            images[signed_encode(1, x)] = zeta.apply(signed_encode(1, x))
-            images[signed_encode(-1, x)] = zeta.apply(signed_encode(-1, x))
-        else:
-            images[signed_encode(1, x)] = signed_encode(1, shadow[x])
-            images[signed_encode(-1, x)] = signed_encode(-1, shadow[x])
-    return ErrPerm.from_one_line(images)
+    line = list(zeta.images)
+    plus, minus = line[::2], line[1::2]  # the images of +x and of -x
+    good = [y ^ 1 == z for y, z in zip(plus, minus)]
+    used = {y >> 1 for y, ok in zip(plus, good) if ok}
+    free_targets = (y for y in range(len(plus)) if y not in used)
+    for x, ok in enumerate(good):
+        if not ok:
+            y = next(free_targets)
+            line[2 * x], line[2 * x + 1] = 2 * y, 2 * y + 1
+    return ErrPerm.from_one_line(line)

@@ -16,20 +16,26 @@ from permstab.cohomology import (
     cocycle_space,
     cohomology_dim,
     cosystole,
+    delta_columns,
     distance_to_subspace,
     weighted_norm,
     zero_cochain,
 )
 from permstab.complexes import (
     SimplicialComplex,
+    annulus,
     boundary_of_simplex,
     face_weight,
     full_triangle,
+    hollow_polygon,
     projective_plane_six,
 )
+from permstab.covers import build_cover
 from permstab.errors import ExactSearchRefused, PermstabError
+from permstab.experiments import ExperimentConfig, build_instance
 from permstab.rng import SplitMix64
 from test_complexes import random_pure_complex
+from test_covers import random_exact_action
 
 
 def random_cochain(rng, x, k):
@@ -289,3 +295,28 @@ def test_coboundary_squares_exhaustive_larger():
     assert x.n_cells(1) == 10
     for bits in range(1 << 10):
         assert coboundary(coboundary(F2Cochain(x, 1, bits))).is_zero
+
+
+def sorting_delta_columns(x, k):
+    """The coboundary columns with every face looked up through ``cell_position``, which sorts it again."""
+    cols = [0] * x.n_cells(k)
+    for j, cell in enumerate(x.cells(k + 1)):
+        for face in combinations(cell, k + 1):
+            cols[x.cell_position(face)] |= 1 << j
+    return tuple(cols)
+
+
+def test_delta_columns_match_the_sorting_lookup():
+    """On the criterion-7 complexes, their covers, and sweep covers at fibers 12, 24 and 48."""
+    rng = SplitMix64(10_007)
+    pool = [annulus(), boundary_of_simplex(3), hollow_polygon(6), full_triangle(), projective_plane_six()]
+    pool += [random_pure_complex(rng, n_vertices=5 + rng.below(4), n_faces=4) for _ in range(8)]
+    complexes = list(pool)
+    for i, x in enumerate(pool):
+        complexes.append(build_cover(x, random_exact_action(x, 20_000 + i, 2 + i % 3)).total)
+    for seed, fiber, extra in ((0, 12, 0), (1, 24, 2), (2, 48, 0)):
+        x, _, _, f = build_instance(ExperimentConfig(seed=seed, epsilon=Fraction(1, 20), fiber=fiber, extra=extra))
+        complexes.append(build_cover(x, f).total)
+    for x in complexes:
+        for k in range(x.dim):
+            assert delta_columns(x, k) == sorting_delta_columns(x, k)

@@ -276,12 +276,12 @@ MUTATIONS = (
         "        raise PermstabError(\"twisting is defined for edge cochains\")\n",
         ["tests/test_sym.py::test_gauge_shift_needs_a_value_at_every_vertex"],
     ),
-    # actions: relations measured over point columns, inverse pairs by point maps
+    # actions: relations measured over point columns, inverse pairs by one-line views
     (
-        "inverse-pair-map-against-map",
+        "inverse-pair-line-against-line",
         PKG + "actions.py",
-        "self.images[a]._inverse_map != self.images[b]._map",
-        "self.images[a]._map != self.images[b]._map",
+        "self.images[a]._inverse_line != self.images[b]._line",
+        "self.images[a]._line != self.images[b]._line",
         ["tests/test_word_eval.py::test_inverse_pairs_are_checked_by_point_maps"],
     ),
     (
@@ -393,13 +393,82 @@ MUTATIONS = (
         "",
         ["tests/test_sym.py::test_values_are_frozen_after_validation"],
     ),
-    # perms: the involution check squares once
+    # perms: the involution check reads the square of zeta
     (
         "square-is-zeta",
         PKG + "perms.py",
-        "square = compose(zeta, zeta)\n    if any(",
-        "square = zeta\n    if any(",
+        "if any(line[y] != x for x, y in enumerate(line)):",
+        "if any(y != x for x, y in enumerate(line)):",
         ["tests/test_perms.py::test_fix_fixed_point_free_examples"],
+    ),
+    # perms, actions, covers, experiments: total permutations read as one-line arrays
+    (
+        "line-without-trailing-error",
+        PKG + "perms.py",
+        "line = [ERROR] * (self.size + 1)\n        for x, y in zip(self.domain, self.images):\n            line[x] = y",
+        "line = [ERROR] * self.size\n        for x, y in zip(self.domain, self.images):\n            line[x] = y",
+        [
+            "tests/test_word_eval.py::test_word_evaluation_matches_reference_seeded",
+            "tests/test_oracles.py::test_sign_twisted_lift_matches_the_signed_double_seeded",
+        ],
+    ),
+    (
+        "inverse-line-filled-forward",
+        PKG + "perms.py",
+        "            line[y] = x\n",
+        "            line[x] = y\n",
+        [
+            "tests/test_word_eval.py::test_word_evaluation_matches_reference_seeded",
+            "tests/test_oracles.py::test_point_views_match_the_point_map_seeded",
+        ],
+    ),
+    (
+        "defect-takes-the-most-fixed-relation",
+        PKG + "actions.py",
+        "min((_fixed_count(action, rel)",
+        "max((_fixed_count(action, rel)",
+        ["tests/test_word_eval.py::test_defect_matches_reference_seeded"],
+    ),
+    (
+        "commute-repair-good-pair-inverted",
+        PKG + "perms.py",
+        "good = [y ^ 1 == z for",
+        "good = [y ^ 1 != z for",
+        [
+            "tests/test_oracles.py::test_commute_repair_outputs_are_pinned",
+            "tests/test_perms.py::test_commute_exhaustive_small",
+        ],
+    ),
+    (
+        "lift-negative-point-keeps-the-sign",
+        PKG + "experiments.py",
+        "line += (2 * y + bit, 2 * y + (1 ^ bit))",
+        "line += (2 * y + bit, 2 * y + bit)",
+        ["tests/test_oracles.py::test_sign_twisted_lift_matches_the_signed_double_seeded"],
+    ),
+    (
+        "hamming-divides-by-the-smaller-set",
+        PKG + "perms.py",
+        "denom = max(a.size, b.size)",
+        "denom = min(a.size, b.size)",
+        [
+            "tests/test_oracles.py::test_hamming_matches_the_definition_seeded",
+            "tests/test_oracles.py::test_hamming_divides_by_the_larger_set",
+        ],
+    ),
+    (
+        "sign-cochain-line-unpadded",
+        PKG + "covers.py",
+        "pad = [ERROR] * (2 * cov.fiber_size - psi.space)",
+        "pad = []",
+        ["tests/test_word_eval.py::test_sweep_csv_bytes_are_pinned"],
+    ),
+    (
+        "compose-line-unpadded",
+        PKG + "perms.py",
+        "line = f._line + [ERROR] * (g.size - f.size)",
+        "line = f._line",
+        ["tests/test_oracles.py::test_compose_matches_the_left_fold_seeded"],
     ),
     # earlier refactors: the rewriting relation, facets, the CSV writer, the reference kernels
     (
