@@ -6,14 +6,22 @@ the identity.  ``normalize_sofic_approx`` repairs an action of a central
 2-extension in three stages so that the distinguished central generator acts
 as the exact sign flip and every image commutes with it, reporting the exact
 distance moved at each stage.
+
+An ``AlmostAction`` checks its images once, when it is constructed, and then
+holds them read-only.  The actions this module builds from checked ones (the
+normalization's working copy and output, the induced quotient) and the words
+it evaluates are valid by construction and skip the re-check, through
+``AlmostAction._trusted`` and ``ErrPerm._trusted``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import eq
+from types import MappingProxyType
 
 from .complexes import Presentation, Word, free_reduce
 from .errors import PermstabError
@@ -33,11 +41,14 @@ from .perms import (
 
 @dataclass
 class AlmostAction:
-    """Generator images over a common underlying set of ``space`` points."""
+    """Generator images over a common underlying set of ``space`` points.
+
+    The images are checked on construction and then held read-only.
+    """
 
     presentation: Presentation
     space: int
-    images: dict[str, ErrPerm]
+    images: Mapping[str, ErrPerm]
 
     def __post_init__(self):
         for g in self.presentation.generators:
@@ -51,6 +62,19 @@ class AlmostAction:
         for a, b in self.presentation.inverse_pairs:
             if self.images[a]._inverse_line != self.images[b]._line:
                 raise PermstabError(f"images of {a!r} and {b!r} are not mutually inverse")
+        self.images = MappingProxyType(dict(self.images))
+
+    @classmethod
+    def _trusted(cls, presentation: Presentation, space: int, images: dict[str, ErrPerm]) -> "AlmostAction":
+        """An action whose images are already known to pass the checks, built unchecked.
+
+        ``images`` must hold a total-or-partial bijection of size ``space``
+        for every generator, with declared inverse pairs mutually inverse;
+        the caller hands the dict over and keeps no reference to it.
+        """
+        action = object.__new__(cls)
+        action.__dict__.update(presentation=presentation, space=space, images=MappingProxyType(images))
+        return action
 
     def image(self, g: str) -> ErrPerm:
         return self.images[g]
@@ -108,7 +132,7 @@ def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:
     """
     col = _column(_letter_lines(action, word), range(action.space))
     keep = [y != ERROR for y in col]
-    return ErrPerm(action.space, tuple(compress(range(action.space), keep)), tuple(compress(col, keep)))
+    return ErrPerm._trusted(action.space, tuple(compress(range(action.space), keep)), tuple(compress(col, keep)))
 
 
 def _fixed_count(action: AlmostAction, word: Word) -> int:
@@ -184,15 +208,18 @@ def extension_relations(presentation: Presentation, tau: str) -> Presentation:
 def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[AlmostAction, StageReport]:
     """Repair an extension action so tau acts as the exact sign flip.
 
-    Stage 1 replaces the tau image with its nearest involution.  Stage 2
-    removes its fixed points, relabels the enlarged set as a signed double so
-    that tau becomes the sign flip, and re-embeds the other generators with
-    identity action on any padding point.  Stage 3 makes every other image
-    commute with the flip, independently per generator.  All images must be
-    total for the staged repairs to apply.
+    Stage 1 replaces the tau image with an involution: tau where its square
+    fixes, the identity elsewhere, at a distance equal to that of tau squared
+    from the identity (``fix_to_involution``; not always the nearest
+    involution).  Stage 2 removes its fixed points, relabels the enlarged set
+    as a signed double so that tau becomes the sign flip, and re-embeds the
+    other generators with identity action on any padding point.  Stage 3
+    makes every other image commute with the flip, independently per
+    generator.  All images must be total for the staged repairs to apply.
     """
     pres = extension_relations(action.presentation, tau)
-    action = AlmostAction(pres, action.space, dict(action.images))
+    # the extension keeps the generators and inverse pairs, so the checked images stay valid
+    action = AlmostAction._trusted(pres, action.space, dict(action.images))
     for g, perm in action.images.items():
         if not perm.is_total:
             raise PermstabError(f"stage repairs need total images; {g!r} is partial")
@@ -208,29 +235,25 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
     # stage 2: drop fixed points, relabel the result as a signed double
     fpf = fix_fixed_point_free(inv)
     twice = fpf.size
-    orbits = [(x, y) for x, y in zip(fpf.domain, fpf.images) if x < y]
-    relabel = {}
+    relabel = [ERROR] * twice  # point -> signed label: the i-th orbit {x < y} becomes +i, -i
+    orbits = ((x, y) for x, y in enumerate(fpf.images) if x < y)
     for i, (x, y) in enumerate(orbits):
-        relabel[x] = signed_encode(1, i)
-        relabel[y] = signed_encode(-1, i)
-    pad = [x for x in fpf.domain if x not in relabel]
-    if pad:
+        relabel[x], relabel[y] = signed_encode(1, i), signed_encode(-1, i)
+    if ERROR in relabel:
         raise PermstabError("internal: fixed points survived the pairing")
+    back = [0] * twice  # signed label -> point
+    for x, j in enumerate(relabel):
+        back[j] = x
+    # relabeling is a conjugation, which keeps agreement, and every other image
+    # only gains the padding point, which tau's stage-1 image lacks as well:
+    # stage 2 moves nothing farther than tau moves from inv to fpf
+    d2 = hamming(inv, fpf)
+    pad = tuple(range(action.space, twice))  # identity on the padding point
+    points = tuple(range(twice))
     stage2 = {}
-    d2 = Fraction(0)
     for g, perm in stage1.items():
-        if g == tau:
-            new = fpf.relabel(relabel)
-            old = inv.relabel(relabel, size=twice)
-        else:
-            extended = dict(zip(perm.domain, perm.images))
-            for x in fpf.domain:
-                if x not in extended:
-                    extended[x] = x
-            new = ErrPerm.from_mapping({relabel[x]: relabel[y] for x, y in extended.items()})
-            old = perm.relabel(relabel, size=twice)
-        stage2[g] = new
-        d2 = max(d2, hamming(old, new))
+        line = fpf.images if g == tau else perm.images + pad
+        stage2[g] = ErrPerm._trusted(twice, points, tuple([relabel[line[x]] for x in back]))
     if stage2[tau].images != sign_flip(twice // 2).images:
         raise PermstabError("internal: tau is not the sign flip after stage 2")
 
@@ -245,7 +268,7 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
         d3 = max(d3, hamming(repaired, perm))
         stage3[g] = repaired
 
-    out = AlmostAction(pres, twice, stage3)
+    out = AlmostAction._trusted(pres, twice, stage3)
     ell = pres.max_relation_length
     bound = (2 * ell + 2) * eps_prime + (3 * ell + 4) * eps + (ell + 1) * d3
     dout = defect(out)
@@ -298,6 +321,7 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
     if action.image(tau) != sign_flip(n):
         raise PermstabError(f"{tau!r} does not act as the sign flip")
     images = {}
+    points = tuple(range(n))
     for g in action.generators:
         if g == tau:
             continue
@@ -306,8 +330,8 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
             raise PermstabError(f"image of {g!r} is partial")
         if not commutes_with_flip(perm):
             raise PermstabError(f"image of {g!r} does not commute with the sign flip")
-        images[g] = ErrPerm.from_one_line([y >> 1 for y in perm.images[::2]])
-    return AlmostAction(quotient_presentation(action.presentation, tau), n, images)
+        images[g] = ErrPerm._trusted(n, points, tuple([y >> 1 for y in perm.images[::2]]))
+    return AlmostAction._trusted(quotient_presentation(action.presentation, tau), n, images)
 
 
 def separation_report(action: AlmostAction, max_len: int, limit: int = 2000):

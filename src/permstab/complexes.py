@@ -41,6 +41,19 @@ class SimplicialComplex:
         self._cache: dict = {}
         self.is_pure = self._check_pure()
 
+    @classmethod
+    def _of_known_purity(cls, faces_by_dim: tuple[tuple[Cell, ...], ...], is_pure: bool) -> "SimplicialComplex":
+        """A complex whose purity is already known, as a cover's is its base's; skips ``_check_pure``."""
+        x = cls.__new__(cls)
+        x.faces_by_dim = faces_by_dim
+        x.dim = len(faces_by_dim) - 1
+        x._index = tuple({c: i for i, c in enumerate(cells)} for cells in faces_by_dim)
+        x._top_counts = {}
+        x._adj = None
+        x._cache = {}
+        x.is_pure = is_pure
+        return x
+
     # -- construction -------------------------------------------------
 
     @classmethod

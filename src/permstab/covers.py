@@ -119,7 +119,9 @@ def build_cover(x: SimplicialComplex, action: AlmostAction) -> Covering:
         faces.append(cells)
         lifts.append(tuple(order))
 
-    cov = Covering(x, SimplicialComplex(tuple(faces)), m, action, vertex_pair, vertex_id, tuple(lifts))
+    # a covering is a bijection on every vertex star, so the cover is pure exactly when the base is
+    total = SimplicialComplex._of_known_purity(tuple(faces), x.is_pure)
+    cov = Covering(x, total, m, action, vertex_pair, vertex_id, tuple(lifts))
     _verify_cover(cov)
     return cov
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .actions import AlmostAction, defect, normalize_sofic_approx
@@ -41,20 +42,34 @@ def _subset_shuffle(rng: SplitMix64, n: int, k: int):
 def _support_perm(space: int, eps: Fraction, rng: SplitMix64) -> ErrPerm:
     """Uniform permutation of a random floor(eps*space)-subset, identity elsewhere."""
     k = int(eps * space)
-    line = list(range(space))
+    points = tuple(range(space))
+    line = list(points)
     if k >= 2:  # a single point cannot move, and drawing it would shift the seeded stream
         for a, b in _subset_shuffle(rng, space, k):
             line[a] = b
-    return ErrPerm.from_one_line(line)
+    return ErrPerm._trusted(space, points, tuple(line))
 
 
-def _coherent_noise(action: AlmostAction, skip, noise_of) -> tuple[AlmostAction, dict[str, Fraction]]:
+def _signed_double(targets, bits, points: tuple[int, ...]) -> ErrPerm:
+    """+t = 2t to 2*targets[t] + bits[t], and -t = 2t+1 to 2*targets[t] + (1 ^ bits[t]).
+
+    ``targets`` must be a permutation of range(n) and ``points`` range(2n);
+    the result is then a permutation of the signed double.
+    """
+    line = []
+    for y, bit in zip(targets, bits):
+        line += (2 * y + bit, 2 * y + (1 ^ bit))
+    return ErrPerm._trusted(len(points), points, tuple(line))
+
+
+def _coherent_noise(action: AlmostAction, skip, noise_of) -> AlmostAction:
     """Compose every generator image outside ``skip`` with the noise ``noise_of(g)``.
 
     A declared inverse partner takes the inverse of the noised image instead
     of noise of its own, so the pair stays inverse; skipping one member of a
-    pair skips both.  Returns the noised action and the realized
-    per-generator distances.
+    pair skips both.  The noised action is checked when it is built: a
+    presentation may pair one generator twice, or with itself, and then the
+    noise can break a pair.
     """
     partner = {a: b for a, b in action.presentation.inverse_pairs}
     partner.update({b: a for a, b in action.presentation.inverse_pairs})
@@ -69,8 +84,21 @@ def _coherent_noise(action: AlmostAction, skip, noise_of) -> tuple[AlmostAction,
         if g in partner:
             images[partner[g]] = noised.inverse()
             done.add(partner[g])
-    out = AlmostAction(action.presentation, action.space, images)
-    return out, {g: hamming(out.image(g), action.image(g)) for g in action.generators}
+    return AlmostAction(action.presentation, action.space, images)
+
+
+def _realized(out: AlmostAction, action: AlmostAction) -> dict[str, Fraction]:
+    """The distance of every noised generator image from its original."""
+    return {g: hamming(out.image(g), action.image(g)) for g in action.generators}
+
+
+def _uniform_noise(action: AlmostAction, eps, seed: int, skip: tuple[str, ...]) -> AlmostAction:
+    """``noise_injector``'s noised action, without the distances."""
+    eps = Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise PermstabError("noise rate out of range")
+    rng = SplitMix64(seed)
+    return _coherent_noise(action, skip, lambda g: _support_perm(action.space, eps, rng.spawn(g)))
 
 
 def noise_injector(
@@ -83,11 +111,8 @@ def noise_injector(
     Returns the noised action and the realized per-generator distances, each
     at most ``eps``.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise PermstabError("noise rate out of range")
-    rng = SplitMix64(seed)
-    return _coherent_noise(action, skip, lambda g: _support_perm(action.space, eps, rng.spawn(g)))
+    out = _uniform_noise(action, eps, seed, skip)
+    return out, _realized(out, action)
 
 
 def signed_noise_injector(
@@ -104,22 +129,20 @@ def signed_noise_injector(
     n = action.space // 2
     k = int(eps * n)
     rng = SplitMix64(seed)
+    points = tuple(range(2 * n))
 
     def signed_noise(g: str) -> ErrPerm:
         sub = rng.spawn(g)
-        base = {i: i for i in range(n)}
-        signs = {i: 0 for i in range(n)}
+        base = list(range(n))
+        signs = [0] * n
         if k >= 1:  # unlike a permutation, one point can still flip its sign
             for a, b in _subset_shuffle(sub, n, k):
                 base[a] = b
                 signs[a] = sub.below(2)
-        table = {}
-        for i in range(n):
-            for s in (0, 1):
-                table[2 * i + s] = 2 * base[i] + (s ^ signs[i])
-        return ErrPerm.from_mapping(table, 2 * n)
+        return _signed_double(base, signs, points)
 
-    return _coherent_noise(action, (tau,), signed_noise)
+    out = _coherent_noise(action, (tau,), signed_noise)
+    return out, _realized(out, action)
 
 
 def tree_adjusted_cocycle(
@@ -220,8 +243,9 @@ def sign_twisted_lift(
 
     The oriented edge xy acts on the double of range(n) as f(xy) with an
     overall sign twist given by the edge cochain; tau acts as the sign flip.
-    The images of f must preserve range(n).  The lift is an exact action of
-    the extension presentation twisted by the coboundary of ``edge_signs``.
+    The images of f must preserve range(n), and each edge's two images
+    must be mutually inverse there.  The lift is an exact action of the
+    extension presentation twisted by the coboundary of ``edge_signs``.
     """
     x = edge_signs.complex
     tree_root = min(x.vertices)
@@ -231,19 +255,23 @@ def sign_twisted_lift(
         raise PermstabError("need a complex with triangles")
     pres = extension_from_cocycle(x, tree, phi, tau)
     images = {tau: sign_flip(n)}
+    points = tuple(range(2 * n))
+    shadow = {}  # f's images of range(n), by generator
     for (a, b) in x.cells(1):
         bit = edge_signs((a, b))
         for (u, v) in ((a, b), (b, a)):
-            # f's images of range(n); past f's set the line's trailing ERROR shows
-            targets = f.image(edge_gen(u, v))._line[:n]
+            # past f's set the line's trailing ERROR shows
+            targets = shadow[edge_gen(u, v)] = f.image(edge_gen(u, v))._line[:n]
             if not all(0 <= y < n for y in targets):
                 raise PermstabError("the action does not preserve the lifted points")
-            # +t = 2t goes to 2f(t) + bit, and -t = 2t+1 to 2f(t) + (1 ^ bit)
-            line = []
-            for y in targets:
-                line += (2 * y + bit, 2 * y + (1 ^ bit))
-            images[edge_gen(u, v)] = ErrPerm.from_one_line(line)
-    return AlmostAction(pres, 2 * n, images)
+            images[edge_gen(u, v)] = _signed_double(targets, repeat(bit), points)
+    # f's injective images of range(n) into range(n) lift to permutations of the
+    # double; a declared pair lifts to inverse images when f's are inverse on range(n)
+    fixed = list(range(n))
+    for g, h in pres.inverse_pairs:
+        if [shadow[g][y] for y in shadow[h]] != fixed:
+            raise PermstabError(f"images of {g!r} and {h!r} are not mutually inverse")
+    return AlmostAction._trusted(pres, 2 * n, images)
 
 
 @dataclass(frozen=True)
@@ -292,7 +320,7 @@ def build_instance(config: ExperimentConfig):
         signs = F2Cochain(x, 1, bits)
     phi = coboundary(signs)
     lift = sign_twisted_lift(f, signs, n)
-    raw, _ = noise_injector(lift, config.epsilon, config.seed ^ 0xA5A5, skip=("tau",))
+    raw = _uniform_noise(lift, config.epsilon, config.seed ^ 0xA5A5, skip=("tau",))
     return x, phi, raw, f
 
 

@@ -15,6 +15,14 @@ domain, and one trailing ``ERROR``.  Because ``ERROR == -1`` indexes that
 trailing entry, ``line[v]`` sends ``ERROR`` to ``ERROR`` without a branch, so
 a column of points is carried through a word by plain indexing.  A line may
 only be indexed by a point of ``range(size)`` or by ``ERROR``.
+
+Validation happens where a permutation enters the package: the constructor
+``ErrPerm(...)`` and the public builders ``identity``, ``identity_on``,
+``from_one_line``, ``from_mapping``, ``from_cycle`` and ``relabel`` check the
+label contract.  What this module builds from permutations it has already
+checked (``compose``, ``inverse``, ``power``, the repairs and ``sign_flip``)
+is a partial injection by construction, so it goes through the unchecked
+``ErrPerm._trusted``.
 """
 
 from __future__ import annotations
@@ -46,6 +54,17 @@ class ErrPerm:
             raise PermstabError(f"point label outside range({size})")
         if len(set(images)) != len(images):
             raise PermstabError("images not injective")
+
+    @classmethod
+    def _trusted(cls, size: int, domain: tuple[int, ...], images: tuple[int, ...]) -> "ErrPerm":
+        """An ``ErrPerm`` of fields already known to satisfy the label contract, built unchecked.
+
+        Only for values built from checked ones; every input from outside the
+        package goes through the constructor.
+        """
+        perm = object.__new__(cls)
+        perm.__dict__.update(size=size, domain=domain, images=images)
+        return perm
 
     @cached_property
     def _line(self) -> list[int]:
@@ -81,7 +100,7 @@ class ErrPerm:
     def inverse(self) -> "ErrPerm":
         domain = tuple(sorted(self.images))
         line = self._inverse_line
-        return ErrPerm(self.size, domain, tuple([line[y] for y in domain]))
+        return ErrPerm._trusted(self.size, domain, tuple([line[y] for y in domain]))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(x for x, y in zip(self.domain, self.images) if x == y)
@@ -119,7 +138,14 @@ class ErrPerm:
         return ErrPerm.from_mapping(mapping, n)
 
     def relabel(self, table: dict[int, int], size: int | None = None) -> "ErrPerm":
-        """Conjugate by a relabeling of points; keeps the underlying-set size."""
+        """Conjugate by a relabeling of points; keeps the underlying-set size.
+
+        The table must send the points of the domain and the images to
+        distinct labels, which must lie in range of the new size.
+        """
+        points = set(self.domain).union(self.images)
+        if len({table[x] for x in points}) != len(points):
+            raise PermstabError("relabeling table is not injective on the points")
         mapping = {table[x]: table[y] for x, y in zip(self.domain, self.images)}
         return ErrPerm.from_mapping(mapping, self.size if size is None else size)
 
@@ -133,12 +159,12 @@ def compose(f: ErrPerm, g: ErrPerm) -> ErrPerm:
     line = f._line + [ERROR] * (g.size - f.size)
     ys = [line[y] for y in g.images]
     keep = [y != ERROR for y in ys]
-    return ErrPerm(max(f.size, g.size), tuple(compress(g.domain, keep)), tuple(compress(ys, keep)))
+    return ErrPerm._trusted(max(f.size, g.size), tuple(compress(g.domain, keep)), tuple(compress(ys, keep)))
 
 
 def power(f: ErrPerm, k: int) -> ErrPerm:
     base = f if k >= 0 else f.inverse()
-    result = ErrPerm.identity_on(base.domain, base.size)
+    result = ErrPerm._trusted(base.size, base.domain, base.domain)
     for _ in range(abs(k)):
         result = compose(base, result)
     return result
@@ -164,15 +190,17 @@ def hamming(a: ErrPerm, b: ErrPerm) -> Fraction:
 
 
 def fix_to_involution(zeta: ErrPerm) -> ErrPerm:
-    """Nearest involution: keep ``zeta`` where its square fixes, identity elsewhere.
+    """An involution near ``zeta``: keep ``zeta`` where its square fixes, identity elsewhere.
 
     The output distance to ``zeta`` equals the distance of ``zeta`` squared
-    from the identity, exactly.
+    from the identity, exactly; that is the bound this repair guarantees.
+    It is not always the nearest involution: ``(1, 2, 0)`` goes to the
+    identity at distance 1, while ``(1, 0, 2)`` is at 2/3.
     """
     if not (zeta.is_total and zeta.is_bijection):
         raise PermstabError("need a genuine permutation")
     line = zeta.images
-    return ErrPerm.from_one_line([y if line[y] == x else x for x, y in enumerate(line)])
+    return ErrPerm._trusted(zeta.size, zeta.domain, tuple([y if line[y] == x else x for x, y in enumerate(line)]))
 
 
 def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
@@ -193,7 +221,7 @@ def fix_fixed_point_free(zeta: ErrPerm) -> ErrPerm:
         line.append(zeta.size)
     for a, b in zip(fixed[::2], fixed[1::2]):
         line[a], line[b] = b, a
-    return ErrPerm.from_one_line(line)
+    return ErrPerm._trusted(len(line), tuple(range(len(line))), tuple(line))
 
 
 # -- signed points ------------------------------------------------------
@@ -206,7 +234,7 @@ def signed_encode(sign: int, x: int) -> int:
 
 def sign_flip(n: int) -> ErrPerm:
     """The sign flip of the signed double of range(n): +x <-> -x, i.e. p -> p ^ 1."""
-    return ErrPerm.from_one_line(tuple(p ^ 1 for p in range(2 * n)))
+    return ErrPerm._trusted(2 * n, tuple(range(2 * n)), tuple([p ^ 1 for p in range(2 * n)]))
 
 
 def _check_signed(perm: ErrPerm) -> None:
@@ -227,13 +255,16 @@ def commutes_with_flip(perm: ErrPerm) -> bool:
 
 
 def commute_with_sign_flip(zeta: ErrPerm) -> ErrPerm:
-    """Nearest sign-equivariant permutation of the signed double.
+    """A sign-equivariant permutation of the signed double near ``zeta``.
 
     Keeps ``zeta`` on the points whose pair it already treats equivariantly;
     on the rest, the unsigned shadow is extended to a permutation by matching
     unmatched sources to unmatched targets in increasing order and lifted
     with positive signs.  The distance moved is at most the distance of the
-    sign-flip commutator from the identity.
+    sign-flip commutator from the identity; that is the bound this repair
+    guarantees.  It is not always the nearest flip-commuting permutation:
+    ``(0, 2, 3, 1)`` goes to the identity at distance 3/4, while the
+    flip-commuting ``(0, 1, 3, 2)`` is at 2/4.
     """
     _check_signed(zeta)
     line = list(zeta.images)
@@ -245,4 +276,4 @@ def commute_with_sign_flip(zeta: ErrPerm) -> ErrPerm:
         if not ok:
             y = next(free_targets)
             line[2 * x], line[2 * x + 1] = 2 * y, 2 * y + 1
-    return ErrPerm.from_one_line(line)
+    return ErrPerm._trusted(zeta.size, zeta.domain, tuple(line))

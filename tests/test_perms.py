@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import permutations
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,45 @@ def test_fix_to_involution_identity_exhaustive():
         tau = fix_to_involution(zeta)
         assert compose(tau, tau) == ident6
         assert hamming(zeta, tau) == hamming(compose(zeta, zeta), ident6)
+
+
+def cycle_lengths(line):
+    seen, out = set(), []
+    for x in range(len(line)):
+        if x not in seen:
+            k, y = 0, x
+            while y not in seen:
+                seen.add(y)
+                y, k = line[y], k + 1
+            out.append(k)
+    return out
+
+
+def test_fix_to_involution_is_not_always_the_nearest():
+    # the 3-cycle goes to the identity at distance 1; the transposition (1, 0, 2) is at 2/3
+    zeta = ErrPerm.from_one_line((1, 2, 0))
+    assert fix_to_involution(zeta) == ErrPerm.identity(3)
+    assert hamming(fix_to_involution(zeta), zeta) == 1
+    assert hamming(ErrPerm.from_one_line((1, 0, 2)), zeta) == Fraction(2, 3)
+
+
+def test_nearest_involution_distance_closed_form_exhaustive():
+    """For n <= 6 the nearest involution is at (1/n) * sum of ceil(k/2) over the cycles of length k >= 3.
+
+    ``fix_to_involution`` moves (1/n) * sum of k over the same cycles: never
+    nearer than that optimum, at most twice as far, and strictly farther on
+    every permutation with a cycle of length 3 or more.
+    """
+    for n in range(1, 7):
+        involutions = [q for q in permutations(range(n)) if all(q[q[x]] == x for x in range(n))]
+        for p in permutations(range(n)):
+            nearest = Fraction(min(sum(map(ne, p, q)) for q in involutions), n)
+            long_cycles = [k for k in cycle_lengths(p) if k >= 3]
+            assert nearest == Fraction(sum((k + 1) // 2 for k in long_cycles), n)
+            repaired = hamming(fix_to_involution(ErrPerm.from_one_line(p)), ErrPerm.from_one_line(p))
+            assert repaired == Fraction(sum(long_cycles), n)
+            assert nearest <= repaired <= 2 * nearest
+            assert (repaired == nearest) == (not long_cycles)
 
 
 # -- fixed point removal --------------------------------------------------------
@@ -230,6 +270,17 @@ def test_commute_examples():
     comm = _flip_commutator(zeta)
     assert d == Fraction(1, 2) and hamming(comm, ErrPerm.identity(4)) == 1
     assert d <= hamming(comm, ErrPerm.identity(4))
+
+
+def test_commute_with_sign_flip_is_not_always_the_nearest():
+    # (0, 2, 3, 1) goes to the identity at distance 3/4; the flip-commuting (0, 1, 3, 2) is at 2/4
+    zeta = ErrPerm.from_one_line((0, 2, 3, 1))
+    sigma = commute_with_sign_flip(zeta)
+    assert sigma == ErrPerm.identity(4) and hamming(sigma, zeta) == Fraction(3, 4)
+    nearer = ErrPerm.from_one_line((0, 1, 3, 2))
+    assert commutes_with_flip(nearer) and hamming(nearer, zeta) == Fraction(2, 4)
+    # what the repair does guarantee: no farther than the flip commutator from the identity
+    assert hamming(sigma, zeta) <= hamming(_flip_commutator(zeta), ErrPerm.identity(4))
 
 
 def _flip_commutator(zeta: ErrPerm) -> ErrPerm:

@@ -360,9 +360,12 @@ MUTATIONS = (
     (
         "stage2-old-tau-on-its-own-size",
         PKG + "actions.py",
-        "old = inv.relabel(relabel, size=twice)",
-        "old = inv.relabel(relabel, size=inv.size)",
-        ["tests/test_actions.py::test_stage_reports_and_separation_are_pinned"],
+        "d2 = hamming(inv, fpf)",
+        "d2 = hamming(inv, fpf) * twice / inv.size",
+        [
+            "tests/test_actions.py::test_stage_reports_and_separation_are_pinned",
+            "tests/test_trusted_construction.py::test_stage2_distance_matches_the_relabeled_images",
+        ],
     ),
     (
         "loader-negative-point-accepted",
@@ -469,6 +472,59 @@ MUTATIONS = (
         "line = f._line + [ERROR] * (g.size - f.size)",
         "line = f._line",
         ["tests/test_oracles.py::test_compose_matches_the_left_fold_seeded"],
+    ),
+    # perms, actions, experiments, covers: validation where input enters, settled results not recomputed
+    (
+        "from-mapping-unchecked",
+        PKG + "perms.py",
+        "        return ErrPerm(\n            size if size is not None else len(pts),",
+        "        return ErrPerm._trusted(\n            size if size is not None else len(pts),",
+        ["tests/test_trusted_construction.py::test_public_constructors_refuse_bad_tables"],
+    ),
+    (
+        "relabel-injectivity-unchecked",
+        PKG + "perms.py",
+        "        if len({table[x] for x in points}) != len(points):\n",
+        "        if False:\n",
+        ["tests/test_trusted_construction.py::test_relabel_refuses_a_table_that_merges_points"],
+    ),
+    (
+        "stage2-distance-without-the-padding-point",
+        PKG + "actions.py",
+        "d2 = hamming(inv, fpf)",
+        "d2 = hamming(inv, fpf) - Fraction(twice - inv.size, twice)",
+        [
+            "tests/test_actions.py::test_stage_reports_and_separation_are_pinned",
+            "tests/test_trusted_construction.py::test_stage2_distance_matches_the_relabeled_images",
+        ],
+    ),
+    (
+        "action-images-left-mutable",
+        PKG + "actions.py",
+        "        self.images = MappingProxyType(dict(self.images))\n",
+        "",
+        ["tests/test_trusted_construction.py::test_action_images_are_read_only"],
+    ),
+    (
+        "trusted-action-images-left-mutable",
+        PKG + "actions.py",
+        "images=MappingProxyType(images))",
+        "images=images)",
+        ["tests/test_trusted_construction.py::test_action_images_are_read_only"],
+    ),
+    (
+        "lift-inverse-pairs-unchecked",
+        PKG + "experiments.py",
+        "        if [shadow[g][y] for y in shadow[h]] != fixed:\n",
+        "        if False:\n",
+        ["tests/test_trusted_construction.py::test_sign_twisted_lift_refuses_edge_images_that_are_not_inverse"],
+    ),
+    (
+        "cover-pure-regardless-of-base",
+        PKG + "covers.py",
+        "SimplicialComplex._of_known_purity(tuple(faces), x.is_pure)",
+        "SimplicialComplex._of_known_purity(tuple(faces), True)",
+        ["tests/test_trusted_construction.py::test_cover_purity_is_what_the_check_computes"],
     ),
     # earlier refactors: the rewriting relation, facets, the CSV writer, the reference kernels
     (
