@@ -51,6 +51,8 @@ class AlmostAction:
     images: Mapping[str, ErrPerm]
 
     def __post_init__(self):
+        if self.space < 0:
+            raise PermstabError(f"negative space {self.space}")
         for g in self.presentation.generators:
             if g not in self.images:
                 raise PermstabError(f"no image for generator {g!r}")
@@ -107,21 +109,6 @@ def _column(lines: list[list[int]], points) -> list[int]:
     for line in reversed(lines):
         vals = [line[v] for v in vals]
     return vals
-
-
-def apply_word(action: AlmostAction, word: Word, x: int) -> int:
-    """The word's image of one point: ``evaluate_word(action, word).apply(x)``.
-
-    Letters act right to left and ``ERROR`` absorbs.  A point outside
-    ``range(action.space)`` is in no domain, so it goes to ``ERROR``, as
-    under the identity the evaluation starts from.
-    """
-    lines = _letter_lines(action, word)
-    if not 0 <= x < action.space:
-        return ERROR
-    for line in reversed(lines):
-        x = line[x]
-    return x
 
 
 def evaluate_word(action: AlmostAction, word: Word) -> ErrPerm:

@@ -138,11 +138,6 @@ class F2Subspace:
     def contains(self, alpha: F2Cochain) -> bool:
         return self.reduce(alpha.bits) == 0
 
-    def elements(self):
-        """All 2**dim member cochains; only sensible for small subspaces."""
-        for t in range(1 << self.dim):
-            yield F2Cochain(self.complex, self.degree, _xor_rows(self.basis, t))
-
 
 def cocycle_space(x: SimplicialComplex, k: int) -> F2Subspace:
     """Kernel of the degree-k coboundary map; all of C^k in the top dimension."""

@@ -20,10 +20,11 @@ Formats (leading/trailing blanks and ``#`` comment lines are ignored):
 In actions and sym cochains every content line after the preamble belongs to
 a block: a line before the first block header and a header repeating an
 earlier key are refused.  A malformed line or header raises ``FormatError``
-with its line number.  An action block that is not a bijection of its
-domain, or a declared inverse pair whose blocks are not mutually inverse, is
-refused once every line is read, at the ``generator`` header of the block
-(of the later block, for a pair).
+with its line number, as do a negative vertex in a complex and a cochain cell
+of the wrong size or outside its complex.  An action block that is not a
+bijection of its domain, or a declared inverse pair whose blocks are not
+mutually inverse, is refused once every line is read, at the ``generator``
+header of the block (of the later block, for a pair).
 """
 
 from __future__ import annotations
@@ -116,7 +117,12 @@ def _complex_from_lines(lines, empty_lineno: int) -> SimplicialComplex:
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim d' header", lines[0][0] if lines else empty_lineno)
     dim = _header_int(lines[0][1], lines[0][0])
-    faces = [_int_tokens(line.split(), lineno, "bad face line") for lineno, line in lines[1:]]
+    faces = []
+    for lineno, line in lines[1:]:
+        face = _int_tokens(line.split(), lineno, "bad face line")
+        if min(face) < 0:
+            raise FormatError("negative vertex index", lineno)
+        faces.append(face)
     if not faces:
         raise FormatError("no faces", lines[0][0])
     x = SimplicialComplex.from_cells(faces)
@@ -137,7 +143,14 @@ def load_cochain(text: str, x: SimplicialComplex) -> F2Cochain:
     if not lines or not lines[0][1].startswith("dim "):
         raise FormatError("expected a 'dim k' header", lines[0][0] if lines else 1)
     k = _header_int(lines[0][1], lines[0][0])
-    cells = [_int_tokens(line.split(), lineno, "bad cell line") for lineno, line in lines[1:]]
+    cells = []
+    for lineno, line in lines[1:]:
+        cell = tuple(sorted(_int_tokens(line.split(), lineno, "bad cell line")))
+        if len(cell) != k + 1:
+            raise FormatError(f"{cell} is not a {k}-cell", lineno)
+        if not x.has_cell(cell):
+            raise FormatError(f"{cell} is not a cell of the complex", lineno)
+        cells.append(cell)
     return cochain_from_support(x, k, cells)
 
 

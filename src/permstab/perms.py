@@ -46,6 +46,8 @@ class ErrPerm:
 
     def __post_init__(self):
         domain, images, size = self.domain, self.images, self.size
+        if size < 0:
+            raise PermstabError(f"negative size {size}")
         if len(domain) != len(images):
             raise PermstabError("domain/image length mismatch")
         if not all(map(lt, domain, islice(domain, 1, None))):

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from permstab.actions import (
     AlmostAction,
     action_distance,
@@ -17,9 +19,12 @@ from permstab.actions import (
     separation_report,
 )
 from permstab.complexes import Presentation
+from permstab.covers import contradiction_experiment
 from permstab.errors import PermstabError
+from permstab.experiments import ExperimentConfig, build_instance, rows_to_csv, run_pipeline, sweep
 from permstab.perms import ErrPerm, compose, hamming, sign_flip, signed_encode
 from permstab.rng import SplitMix64
+from test_oracles import same_outcome
 from test_perms import random_perm
 
 S2_PRES = Presentation(("s",), ((("s", 1), ("s", 1)),))
@@ -318,3 +323,194 @@ def test_stage_reports_and_separation_are_pinned():
         for part in (report, separation_report(act, 2), separation_report(out, 2)):
             digest.update(repr(part).encode())
     assert digest.hexdigest() == STAGE_AND_SEPARATION_SHA256
+
+
+# -- words and defects against the oracles -------------------------------------------
+
+GENS = ("a", "b", "c", "A")
+
+
+def random_action(rng: random.Random) -> AlmostAction:
+    """Partial bijections of range(space), the empty set included."""
+    space = rng.randrange(0, 7)
+    images = {}
+    for g in GENS[:3]:
+        dom = rng.sample(range(space), rng.randrange(0, space + 1))
+        img = list(dom)
+        rng.shuffle(img)
+        images[g] = ErrPerm.from_mapping(dict(zip(dom, img)), space)
+    images["A"] = images["a"].inverse()
+    return AlmostAction(Presentation(GENS, (), (("a", "A"),)), space, images)
+
+
+def random_word(rng: random.Random, unknown: bool):
+    letters = GENS + (("z", "y") if unknown else ())
+    return tuple((rng.choice(letters), rng.choice((1, -1))) for _ in range(rng.randrange(0, 7)))
+
+
+def check_word(action, word):
+    same_outcome(lambda: evaluate_word(action, word), lambda: oracles.evaluate_word(action, word))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unknown=st.booleans())
+def test_word_evaluation_matches_the_oracle(seed, unknown):
+    rng = random.Random(seed)
+    action = random_action(rng)
+    check_word(action, random_word(rng, unknown))
+
+
+def test_word_evaluation_matches_the_oracle_seeded():
+    rng = random.Random(20241003)
+    for _ in range(2000):
+        action = random_action(rng)
+        check_word(action, random_word(rng, unknown=rng.random() < 0.2))
+
+
+def test_labels_past_space_and_edge_words():
+    # a map that sends 2 to 3 is no partial permutation of range(3): it is refused when built
+    with pytest.raises(PermstabError, match=r"^point label outside range\(3\)$"):
+        ErrPerm(3, (1, 2, 3), (2, 3, 1))
+    pres = Presentation(("p", "q"), ())
+    p = ErrPerm(3, (1, 2), (2, 1))
+    q = ErrPerm(3, (0, 1, 2), (1, 2, 0))
+    act = AlmostAction(pres, 3, {"p": p, "q": q})
+    for word in ((), (("p", 1),), (("p", -1),), (("q", 1), ("p", 1)), (("p", 1), ("q", -1), ("p", -1))):
+        check_word(act, word)
+    # 0 is outside p's domain; the empty word is the identity of range(3)
+    assert evaluate_word(act, (("p", 1),)).apply(0) == -1
+    assert evaluate_word(act, (("q", 1), ("p", 1))) == ErrPerm(3, (1, 2), (0, 2))
+    assert evaluate_word(act, ()) == ErrPerm.identity(3)
+    # the first unknown letter reading left to right is named, whatever its place
+    with pytest.raises(PermstabError, match="unknown generator 'x'"):
+        evaluate_word(act, (("p", 1), ("x", 1), ("y", -1)))
+
+
+def with_relations(action, rng, unknown):
+    """The action under a presentation with 0-3 random relations, empty ones included.
+
+    Unknown letters are declared generators of the new presentation but have
+    no image, so evaluation is what refuses them.
+    """
+    relations = tuple(random_word(rng, unknown) for _ in range(rng.randrange(0, 4)))
+    gens = GENS + (("z", "y") if unknown else ())
+    action.presentation = Presentation(gens, relations, action.presentation.inverse_pairs)
+    return action
+
+
+def check_defect(action):
+    return same_outcome(lambda: defect(action), lambda: oracles.defect(action))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unknown=st.booleans())
+def test_defect_matches_the_oracle(seed, unknown):
+    rng = random.Random(seed)
+    check_defect(with_relations(random_action(rng), rng, unknown))
+
+
+def test_defect_matches_the_oracle_seeded():
+    rng = random.Random(20261019)
+    errors = []
+    for _ in range(3000):
+        action = with_relations(random_action(rng), rng, unknown=rng.random() < 0.2)
+        errors.append(check_defect(action))
+    # the seeded run reaches the refusal as well as measured relations
+    assert any(e and e.startswith("unknown generator") for e in errors)
+    assert None in errors
+
+
+def test_separation_report_matches_the_oracle():
+    """Each word's distance is the ``hamming`` distance of its composite from the identity."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        action = random_action(rng)
+        ident = oracles.identity(action.space)
+        rows = separation_report(action, 2, limit=rng.randrange(1, 60))
+        assert rows == [(w, oracles.hamming(oracles.evaluate_word(action, w), ident)) for w, _ in rows]
+
+
+def test_defect_edge_cases():
+    pres = Presentation(("a",), ((("a", 1),),))
+    # an undefined point counts as moved
+    part = AlmostAction(pres, 3, {"a": ErrPerm(3, (0, 2), (0, 2))})
+    assert defect(part) == oracles.defect(part) == Fraction(1, 3)
+    # the empty relation, no relation and an empty underlying set give 0
+    for rels in ((), ((),)):
+        act = AlmostAction(Presentation(("a",), rels), 3, {"a": ErrPerm.from_cycle((0, 1, 2), 3)})
+        assert defect(act) == 0
+    empty = AlmostAction(pres, 0, {"a": ErrPerm(0, (), ())})
+    assert defect(empty) == oracles.defect(empty) == 0
+    # an unknown letter is refused wherever its relation stands, on an empty set too
+    for space in (0, 2):
+        act = AlmostAction(pres, space, {"a": ErrPerm.identity(space)})
+        for rels in (((("a", 1),), (("z", 1),)), ((("z", 1),), (("a", 1),))):
+            act.presentation = Presentation(("a", "z"), rels)
+            with pytest.raises(PermstabError, match="^unknown generator 'z'$"):
+                defect(act)
+
+
+def test_inverse_pairs_are_checked_by_point_maps():
+    """An inverse pair is accepted exactly when the partner is the swapped point map."""
+    rng = random.Random(7)
+    pres = Presentation(("a", "b"), (), (("a", "b"),))
+    seen = set()
+    for _ in range(500):
+        space = rng.randrange(0, 5)
+        dom = rng.sample(range(space), rng.randrange(0, space + 1))
+        img = list(dom)
+        rng.shuffle(img)
+        a = ErrPerm.from_mapping(dict(zip(dom, img)), space)
+        b = rng.choice((a.inverse(), a, ErrPerm.identity_on(dom, space), ErrPerm.identity(space)))
+        accepted = oracles.points(b) == oracles.points(oracles.inverse(a))
+        seen.add(accepted)
+        if accepted:
+            AlmostAction(pres, space, {"a": a, "b": b})
+        else:
+            with pytest.raises(PermstabError, match="^images of 'a' and 'b' are not mutually inverse$"):
+                AlmostAction(pres, space, {"a": a, "b": b})
+    assert seen == {True, False}
+    # a three-cycle is not its own inverse; a partial involution is its own partner
+    cyc = ErrPerm.from_cycle((0, 1, 2), 3)
+    with pytest.raises(PermstabError, match="not mutually inverse"):
+        AlmostAction(pres, 3, {"a": cyc, "b": cyc})
+    AlmostAction(pres, 3, {"a": cyc, "b": cyc.inverse()})
+    part = ErrPerm(3, (1, 2), (2, 1))
+    AlmostAction(pres, 3, {"a": part, "b": part})
+    with pytest.raises(PermstabError, match="not mutually inverse"):
+        AlmostAction(pres, 3, {"a": part, "b": ErrPerm(3, (0, 1, 2), (0, 2, 1))})
+
+
+def test_defect_and_stage_report_match_the_oracle():
+    for s in range(20):
+        cfg = ExperimentConfig(seed=s, epsilon=Fraction((0, 1, 1, 1)[s % 4], (1, 100, 20, 10)[s % 4]),
+                               fiber=4 + s % 5, extra=s % 3)
+        raw = build_instance(cfg)[2]
+        out, report = normalize_sofic_approx(raw)
+        assert defect(raw) == oracles.defect(raw) == report.defect_in == report.eps, cfg
+        assert report.defect_out == oracles.defect(out) == defect(out), cfg
+
+
+# sha256 of the CSV below, computed before relations were counted over point columns
+SWEEP_CSV_SHA256 = "e4a7fdf4a9d0cd24c58f9d310fe1597cf39be7547057db5cc3fe1d5fcedd7a5e"
+
+
+def test_sweep_csv_bytes_are_pinned():
+    rows = []
+    for fiber, extra in ((12, 2), (24, 0), (48, 2)):
+        epsilons = [Fraction(0), Fraction(1, 50), Fraction(1, 20), Fraction(1, 10)]
+        rows += sweep(epsilons, seeds=[3, 11], fiber=fiber, extra=extra)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_pipeline_report_is_the_same_with_the_measured_defect_passed_in():
+    for cfg in (
+        ExperimentConfig(seed=2, epsilon=Fraction(1, 10), fiber=12, extra=2),
+        ExperimentConfig(seed=1, epsilon=Fraction(1, 10), fiber=24),
+        ExperimentConfig(seed=2, epsilon=Fraction(1, 20), fiber=24),
+    ):
+        _, report = run_pipeline(cfg)
+        x, phi, raw, f = build_instance(cfg)
+        psi, stage = normalize_sofic_approx(raw)
+        assert stage.defect_in != stage.defect_out, cfg
+        assert report == contradiction_experiment(x, phi, psi, f), cfg

@@ -247,6 +247,24 @@ LOADER_ERRORS = [
         "dim 1\n# edges\n0 1\n1 two\n",
         "^line 4: bad cell line$",
     ),
+    # a negative vertex, and a cochain cell of the wrong size or outside the complex, name their line
+    (fileio.load_complex, "dim 2\n0 1 2\n# next\n1 -2 3\n", "^line 4: negative vertex index$"),
+    (fileio.load_sym_cochain, "sym degree=1 n=2\ncomplex\ndim 1\n0 -1\nendcomplex\n", "^line 4: negative vertex index$"),
+    (
+        lambda text: fileio.load_cochain(text, full_triangle()),
+        "dim 1\n0 1\n2 1 0\n",
+        r"^line 3: \(0, 1, 2\) is not a 1-cell$",
+    ),
+    (
+        lambda text: fileio.load_cochain(text, full_triangle()),
+        "dim 1\n# edges\n3 0\n",
+        r"^line 3: \(0, 3\) is not a cell of the complex$",
+    ),
+    (
+        lambda text: fileio.load_cochain(text, full_triangle()),
+        "dim 2\n2 1 0\n\n0 1 3\n",
+        r"^line 4: \(0, 1, 3\) is not a cell of the complex$",
+    ),
 ]
 
 

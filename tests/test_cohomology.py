@@ -1,11 +1,10 @@
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from permstab.cohomology import (
     F2Cochain,
     F2Subspace,
@@ -102,26 +101,17 @@ def test_weighted_norm_is_the_weight_of_the_support(cells, seed):
         assert weighted_norm(alpha) == sum((face_weight(x, c) for c in alpha.support()), Fraction(0))
 
 
-def test_subspace_elements_are_the_xors_of_basis_subsets():
-    rng = SplitMix64(31)
+def test_subspace_members_are_distinct_and_contained():
     for x in (full_triangle(), boundary_of_simplex(3), projective_plane_six()):
         for k in range(x.dim + 1):
             for space in (cocycle_space(x, k), coboundary_space(x, k)):
                 if space.dim > 10:
                     continue
-                got = [e.bits for e in space.elements()]
-                subsets = [
-                    reduce(xor, sub, 0)
-                    for r in range(space.dim + 1)
-                    for sub in combinations(space.basis, r)
-                ]
-                assert sorted(got) == sorted(subsets) and len(set(got)) == 1 << space.dim
-                # element t is the XOR of the basis rows picked by the bits of t
-                t = rng.below(1 << space.dim)
-                picked = [b for i, b in enumerate(space.basis) if t >> i & 1]
-                assert got[t] == reduce(xor, picked, 0)
+                members = list(oracles.elements(space))
+                assert len({e.bits for e in members}) == 1 << space.dim  # the basis is independent
+                assert all(space.contains(e) for e in members)
     space = F2Subspace.from_rows(boundary_of_simplex(3), 1, [0b1011, 0b0110])
-    assert sorted(e.bits for e in space.elements()) == sorted({0, 0b1011, 0b0110, 0b1101})
+    assert sorted(e.bits for e in oracles.elements(space)) == sorted({0, 0b1011, 0b0110, 0b1101})
 
 
 def test_coboundary_top_dimension_rejected():
@@ -171,7 +161,7 @@ def test_coboundaries_inside_cocycles():
 def test_distance_member_is_zero():
     x = boundary_of_simplex(3)
     z2 = cocycle_space(x, 2)
-    alpha = next(iter(z2.elements()))
+    alpha = next(iter(oracles.elements(z2)))
     res = distance_to_subspace(alpha, z2)
     assert res.value == 0 and res.witness == alpha and res.exact
 
@@ -186,7 +176,7 @@ def test_distance_examples():
     alpha = cochain_from_support(x, 2, [(0, 1, 2)])
     b2 = coboundary_space(x, 2)
     # independent oracle: scan the 8 coboundaries directly
-    oracle = min(weighted_norm(alpha ^ b) for b in b2.elements())
+    oracle = min(weighted_norm(alpha ^ b) for b in oracles.elements(b2))
     res = distance_to_subspace(alpha, b2)
     assert oracle == Fraction(1, 4) == res.value
 
@@ -201,7 +191,7 @@ def test_distance_reverse_enumeration_and_heuristic():
         # second, independent enumeration in reverse order
         rev = min(
             weighted_norm(alpha ^ v)
-            for v in reversed(list(b1.elements()))
+            for v in reversed(list(oracles.elements(b1)))
         )
         assert res.value == rev
         assert b1.contains(res.witness)
@@ -253,7 +243,7 @@ def test_expansion_matches_direct_enumeration():
         if z1.reduce(bits) == 0:
             continue
         num = weighted_norm(coboundary(alpha))
-        den = min(weighted_norm(alpha ^ z) for z in z1.elements())
+        den = min(weighted_norm(alpha ^ z) for z in oracles.elements(z1))
         ratio = num / den
         best = ratio if best is None else min(best, ratio)
     assert cocycle_expansion_constant(x, 1) == best
@@ -269,8 +259,8 @@ def test_cosystole_values():
     # oracle: scan the 16 cocycles against the 8 coboundaries directly
     z2, b2 = cocycle_space(x, 2), coboundary_space(x, 2)
     oracle = min(
-        min(weighted_norm(z ^ b) for b in b2.elements())
-        for z in z2.elements()
+        min(weighted_norm(z ^ b) for b in oracles.elements(b2))
+        for z in oracles.elements(z2)
         if not b2.contains(z)
     )
     assert cosystole(x, 2) == oracle == Fraction(1, 4)
@@ -283,8 +273,8 @@ def test_cosystole_matches_direct_enumeration_on_rp2():
     rp = projective_plane_six()
     z1, b1 = cocycle_space(rp, 1), coboundary_space(rp, 1)
     oracle = min(
-        min(weighted_norm(z ^ b) for b in b1.elements())
-        for z in z1.elements()
+        min(weighted_norm(z ^ b) for b in oracles.elements(b1))
+        for z in oracles.elements(z1)
         if not b1.contains(z)
     )
     assert cosystole(rp, 1) == oracle

@@ -15,8 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from permstab import covers
-from permstab.actions import AlmostAction, apply_word, normalize_sofic_approx
+from permstab.actions import AlmostAction, normalize_sofic_approx
 from permstab.cohomology import F2Cochain, coboundary
 from permstab.complexes import (
     Presentation,
@@ -35,9 +36,9 @@ from permstab.covers import (
     pull_back_cocycle,
     zeta_cochain,
 )
-from permstab.errors import PermstabError
+from permstab.errors import BoundViolation, PermstabError
 from permstab.experiments import ExperimentConfig, build_instance
-from permstab.perms import ErrPerm, sign_flip
+from permstab.perms import ERROR, ErrPerm, sign_flip
 from permstab.rng import SplitMix64
 
 from test_complexes import random_pure_complex
@@ -114,7 +115,8 @@ def naive_triangles(psi, phi, cov, types):
         second = any(types[e] != "first" for e in edges)
         (xx, sx), (yy, _), (zz, _) = (cov.vertex_pair[v] for v in (va, vb, vc))
         word = ((edge_gen(xx, yy), 1), (edge_gen(yy, zz), 1), (edge_gen(zz, xx), 1))
-        tracked = sx < n and apply_word(psi, word, 2 * sx) == 2 * sx + phi((xx, yy, zz))
+        image = oracles.points(oracles.evaluate_word(psi, word)).get(2 * sx, ERROR)
+        tracked = sx < n and image == 2 * sx + phi((xx, yy, zz))
         out.append((j, cell, second, tracked))
     return out
 
@@ -219,6 +221,25 @@ def test_cover_of_sweep_instances_matches_naive_oracle():
         assert (zeta, types) == naive_zeta(psi, cov)
         assert pull_back_cocycle(phi, cov) == naive_pull_back(phi, cov)
         assert list(_cover_triangles(psi, phi, cov, types)) == naive_triangles(psi, phi, cov, types)
+
+
+def test_a_wrong_sign_cochain_is_refused_with_the_naive_count(monkeypatch):
+    real_zeta = covers.zeta_cochain
+
+    def wrong_zeta(*args):
+        zeta, types = real_zeta(*args)
+        return F2Cochain(zeta.complex, 1, zeta.bits ^ 0b110101), types
+
+    monkeypatch.setattr(covers, "zeta_cochain", wrong_zeta)
+    for seed, eps, extra in ((2, "1/20", 0), (3, "1/10", 2), (2, "1/2", 2)):
+        x, phi, raw, f = build_instance(ExperimentConfig(seed=seed, epsilon=Fraction(eps), fiber=12, extra=extra))
+        psi, _ = normalize_sofic_approx(raw)
+        cov = build_cover(x, f)
+        zeta, types = wrong_zeta(psi, f, cov)
+        _, violations = naive_first_type_check(psi, phi, cov, zeta, types)
+        with pytest.raises(BoundViolation, match=f"^{len(violations)} qualifying triangles disagree$"):
+            contradiction_experiment(x, phi, psi, f)
+        assert violations
 
 
 def test_build_cover_refuses_a_lift_that_is_not_closed():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from permstab.actions import AlmostAction, defect
 from permstab.cohomology import (
     F2Cochain,
@@ -393,7 +394,7 @@ def test_double_cover_of_projective_plane():
     x = projective_plane_six()
     tree = spanning_tree(x, 0)
     z1, b1 = cocycle_space(x, 1), coboundary_space(x, 1)
-    rep = next(z.bits for z in z1.elements() if z.bits and not b1.contains(z))
+    rep = next(z.bits for z in oracles.elements(z1) if z.bits and not b1.contains(z))
     # shift by a vertex potential so the class representative vanishes on the tree
     c = {e: (rep >> i) & 1 for i, e in enumerate(x.cells(1))}
     pot = {}

@@ -64,14 +64,14 @@ def fields(perm: ErrPerm):
 
 
 def same_outcome(run, oracle):
-    """Both return equal values, or both raise a ``PermstabError`` with the same message."""
+    """Both return equal values, or both raise a ``PermstabError`` with the same message, which is returned."""
     try:
         want = oracle()
     except PermstabError as exc:
         with pytest.raises(PermstabError) as got:
             run()
         assert str(got.value) == str(exc)
-        return
+        return str(exc)
     got = run()
     assert (fields(got) if isinstance(got, ErrPerm) else got) == (fields(want) if isinstance(want, ErrPerm) else want)
 

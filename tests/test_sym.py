@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from permstab.complexes import (
     SimplicialComplex,
     annulus,
@@ -372,41 +373,27 @@ def partial_cochains(draw):
     return SymCochain(x, 1, n, values), tris
 
 
-def folded_images(f, walk):
-    """Left fold of the edge values' images along a closed walk, index by index."""
-    out = []
-    for j in range(f.n):
-        cur = j
-        for a, b in zip(walk, walk[1:]):
-            cur = None if cur is None else f.value_on((a, b)).images[cur]
-        out.append(cur)
-    return tuple(out)
-
-
-def moved_by(images):
-    return {j for j, val in enumerate(images) if val is not None and val != j}
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=partial_cochains())
 def test_triangle_statistics_match_their_definitions(case):
     f, tris = case
     x = f.complex
+    maps = oracles.edge_maps(f)
     for tri in tris:
-        assert triangle_composite(f, tri).images == folded_images(f, tri + tri[:1])
+        assert triangle_composite(f, tri).images == oracles.walk(maps, tri + tri[:1], f.n)
     for i in range(f.n):
-        want = sum(i in moved_by(folded_images(f, tri + tri[:1])) for tri in tris)
+        want = sum(i in oracles.moved(oracles.walk(maps, tri + tri[:1], f.n)) for tri in tris)
         assert _index_violation_count(f, tris, i) == want
     joint = 0
     for strict in (False, True):
         plain = robust = Fraction(0)
         for u, v, w in x.cells(2):
-            images = folded_images(f, (u, v, w, u))
-            bad = len(moved_by(images)) + (images.count(None) if strict else 0)
+            images = oracles.walk(maps, (u, v, w, u), f.n)
+            bad = len(oracles.moved(images)) + (images.count(None) if strict else 0)
             plain += face_weight(x, (u, v, w)) if bad else 0
             robust += face_weight(x, (u, v, w)) * Fraction(bad, f.n)
             if not strict:
-                joint += len(moved_by(images) | moved_by(folded_images(f, (u, w, v, u))))
+                joint += len(set(oracles.moved(images) + oracles.moved(oracles.walk(maps, (u, w, v, u), f.n))))
         assert sym_delta_weight(f, strict=strict) == (plain, robust)
     assert count_joint_violations(f) == joint
 

@@ -16,6 +16,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from permstab.actions import (
     AlmostAction,
     evaluate_word,
@@ -208,45 +210,16 @@ def test_noise_outputs_pass_the_constructor_and_report_their_distances():
 # -- stage 2's distance -------------------------------------------------------------
 
 
-def old_stage2_distance(action: AlmostAction, tau: str = "tau") -> Fraction:
-    """Stage 2's distance as it was measured: the largest distance of a relabeled image from its old self.
-
-    Every image is relabeled onto the signed double twice: as it was (on the
-    points it had) and as stage 2 makes it (the fixed-point-free tau, the
-    others extended by the identity on the padding point).
-    """
-    inv = fix_to_involution(action.image(tau))
-    fpf = fix_fixed_point_free(inv)
-    twice = fpf.size
-    orbits = [(x, y) for x, y in zip(fpf.domain, fpf.images) if x < y]
-    relabel = {}
-    for i, (x, y) in enumerate(orbits):
-        relabel[x], relabel[y] = 2 * i, 2 * i + 1
-    d2 = Fraction(0)
-    for g in action.generators:
-        if g == tau:
-            old, new = inv.relabel(relabel, size=twice), fpf.relabel(relabel)
-        else:
-            perm = action.image(g)
-            extended = dict(zip(perm.domain, perm.images))
-            for x in fpf.domain:
-                extended.setdefault(x, x)
-            old = perm.relabel(relabel, size=twice)
-            new = ErrPerm.from_mapping({relabel[x]: relabel[y] for x, y in extended.items()})
-        d2 = max(d2, hamming(old, new))
-    return d2
-
-
 def test_stage2_distance_matches_the_relabeled_images():
     nonzero = 0
     for act in pinned_family():
         _, report = normalize_sofic_approx(act)
-        assert report.stage2_distance == old_stage2_distance(act)
+        assert report.stage2_distance == oracles.stage2_distance(act)
         nonzero += report.stage2_distance != 0
     for config in SWEEP_CONFIGS:
         _, _, raw, _ = build_instance(config)
         _, report = normalize_sofic_approx(raw)
-        assert report.stage2_distance == old_stage2_distance(raw)
+        assert report.stage2_distance == oracles.stage2_distance(raw)
     assert nonzero > 100  # the family does reach the padding point
 
 
@@ -258,7 +231,7 @@ def test_stage2_distance_matches_the_relabeled_images_random(seed):
     pres = Presentation(("a", "tau"), ())
     act = AlmostAction(pres, space, {"a": random_total(rng, space), "tau": random_total(rng, space)})
     _, report = normalize_sofic_approx(act)
-    assert report.stage2_distance == old_stage2_distance(act)
+    assert report.stage2_distance == oracles.stage2_distance(act)
 
 
 # -- the cover's purity --------------------------------------------------------------
@@ -315,6 +288,11 @@ def test_action_images_are_read_only():
         (lambda: ErrPerm(3, (1, 0), (0, 1)), "domain must be strictly increasing"),
         (lambda: ErrPerm(3, (0, 1), (0,)), "domain/image length mismatch"),
         (lambda: ErrPerm.from_one_line((1, 0)).relabel({0: 2, 1: 3}), r"point label outside range\(2\)"),
+        # a negative size is refused before any label is read
+        (lambda: ErrPerm(-3, (), ()), "negative size -3"),
+        (lambda: ErrPerm.identity(-2), "negative size -2"),
+        (lambda: ErrPerm(-1, (0,), (0,)), "negative size -1"),
+        (lambda: AlmostAction(Presentation((), ()), -1, {}), "negative space -1"),
     ],
 )
 def test_public_constructors_refuse_bad_tables(build, message):

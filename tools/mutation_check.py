@@ -54,21 +54,24 @@ MUTATIONS = (
         PKG + "covers.py",
         "z == p + signed for p, z",
         "z == p for p, z",
-        ["tests/test_steps_diff.py::test_contradiction_experiment_matches_old"],
+        [
+            "tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded",
+            "tests/test_cover_lift.py::test_experiment_reports_are_pinned",
+        ],
     ),
     (
         "all-instead-of-any-edge-type",
         PKG + "covers.py",
         "not (first[ab + s] and first[bc + t] and first[ac + s])",
         "not (first[ab + s] or first[bc + t] or first[ac + s])",
-        ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
+        ["tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded"],
     ),
     (
         "first-type-check-ignores-edge-types",
         PKG + "covers.py",
         "if tracked and not second",
         "if tracked",
-        ["tests/test_steps_diff.py::test_first_type_triangle_check_matches_old"],
+        ["tests/test_cover_lift.py::test_cover_and_walkers_match_naive_oracle_seeded"],
     ),
     # covers: the cover lifted fiber by fiber, and the walkers reading the lift record
     (
@@ -140,7 +143,6 @@ MUTATIONS = (
         [
             "tests/test_cohomology.py::test_coboundary_matches_face_sums",
             "tests/test_cohomology.py::test_weighted_norm_is_the_weight_of_the_support",
-            "tests/test_cohomology.py::test_subspace_elements_are_the_xors_of_basis_subsets",
         ],
     ),
     (
@@ -148,10 +150,7 @@ MUTATIONS = (
         PKG + "cohomology.py",
         "out ^= rows[i]",
         "out |= rows[i]",
-        [
-            "tests/test_cohomology.py::test_coboundary_matches_face_sums",
-            "tests/test_cohomology.py::test_subspace_elements_are_the_xors_of_basis_subsets",
-        ],
+        ["tests/test_cohomology.py::test_coboundary_matches_face_sums"],
     ),
     # fileio: one integer-line parser
     (
@@ -210,7 +209,7 @@ MUTATIONS = (
         PKG + "symcochains.py",
         '        raise PermstabError("cycle lives on a different complex")\n    return _walk_domain',
         "        pass\n    return _walk_domain",
-        ["tests/test_steps_diff.py::test_walk_composite_and_domain_match_old"],
+        ["tests/test_cycles.py::test_walk_composite_and_domain_match_the_fold"],
     ),
     # symcochains: one reading of moved indices, one descent, one walk composite, one gauge shift
     (
@@ -246,14 +245,14 @@ MUTATIONS = (
         PKG + "symcochains.py",
         "for b in range(a + 1, n):",
         "for b in range(a, n):",
-        ["tests/test_simplify_diff.py::test_eta_minimality_matches_old_search"],
+        ["tests/test_builders.py::test_eta_minimality_matches_the_first_violation"],
     ),
     (
         "descent-stop-ignored",
         PKG + "symcochains.py",
         "if stop(best):",
         "if False:",
-        ["tests/test_simplify_diff.py::test_eta_minimality_matches_old_search"],
+        ["tests/test_builders.py::test_eta_minimality_matches_the_first_violation"],
     ),
     (
         "triangle-open-walk",
@@ -282,14 +281,14 @@ MUTATIONS = (
         PKG + "actions.py",
         "self.images[a]._inverse_line != self.images[b]._line",
         "self.images[a]._line != self.images[b]._line",
-        ["tests/test_word_eval.py::test_inverse_pairs_are_checked_by_point_maps"],
+        ["tests/test_actions.py::test_inverse_pairs_are_checked_by_point_maps"],
     ),
     (
         "pipeline-passes-input-defect",
         PKG + "experiments.py",
         "eps=stage.defect_out",
         "eps=stage.defect_in",
-        ["tests/test_word_eval.py::test_pipeline_report_is_the_same_with_the_measured_defect_passed_in"],
+        ["tests/test_actions.py::test_pipeline_report_is_the_same_with_the_measured_defect_passed_in"],
     ),
     (
         "action-labels-past-space-accepted",
@@ -318,7 +317,7 @@ MUTATIONS = (
         PKG + "actions.py",
         "return [((tau, 1), (tau, 1))] + [",
         "return [",
-        ["tests/test_simplify_diff.py::test_presentations_match_old_builders_seeded"],
+        ["tests/test_builders.py::test_presentations_match_the_oracle_seeded"],
     ),
     # boundary checks: fraction arguments, the sym index count, the normalization bound
     (
@@ -411,7 +410,7 @@ MUTATIONS = (
         "line = [ERROR] * (self.size + 1)\n        for x, y in zip(self.domain, self.images):\n            line[x] = y",
         "line = [ERROR] * self.size\n        for x, y in zip(self.domain, self.images):\n            line[x] = y",
         [
-            "tests/test_word_eval.py::test_word_evaluation_matches_reference_seeded",
+            "tests/test_actions.py::test_word_evaluation_matches_the_oracle_seeded",
             "tests/test_oracles.py::test_sign_twisted_lift_matches_the_signed_double_seeded",
         ],
     ),
@@ -421,7 +420,7 @@ MUTATIONS = (
         "            line[y] = x\n",
         "            line[x] = y\n",
         [
-            "tests/test_word_eval.py::test_word_evaluation_matches_reference_seeded",
+            "tests/test_actions.py::test_word_evaluation_matches_the_oracle_seeded",
             "tests/test_oracles.py::test_point_views_match_the_point_map_seeded",
         ],
     ),
@@ -430,7 +429,7 @@ MUTATIONS = (
         PKG + "actions.py",
         "min((_fixed_count(action, rel)",
         "max((_fixed_count(action, rel)",
-        ["tests/test_word_eval.py::test_defect_matches_reference_seeded"],
+        ["tests/test_actions.py::test_defect_matches_the_oracle_seeded"],
     ),
     (
         "commute-repair-good-pair-inverted",
@@ -464,7 +463,7 @@ MUTATIONS = (
         PKG + "covers.py",
         "pad = [ERROR] * (2 * cov.fiber_size - psi.space)",
         "pad = []",
-        ["tests/test_word_eval.py::test_sweep_csv_bytes_are_pinned"],
+        ["tests/test_actions.py::test_sweep_csv_bytes_are_pinned"],
     ),
     (
         "compose-line-unpadded",
@@ -532,35 +531,180 @@ MUTATIONS = (
         PKG + "symcochains.py",
         "if length + 1 <= max_len:",
         "if length + 2 <= max_len:",
-        ["tests/test_steps_diff.py::test_steps_match_old_enumeration"],
+        ["tests/test_cycles.py::test_steps_match_the_oracle_relation"],
     ),
     (
         "ee-neighbour-order",
         PKG + "symcochains.py",
         "for nb in x.neighbors(v):",
         "for nb in reversed(x.neighbors(v)):",
-        ["tests/test_steps_diff.py::test_steps_match_old_enumeration"],
+        [
+            "tests/test_cycles.py::test_steps_match_the_oracle_relation",
+            "tests/test_cycles.py::test_steps_come_in_the_documented_order",
+        ],
     ),
     (
         "contractible-start-unchecked",
         PKG + "symcochains.py",
         "    Cycle(x, cycle.verts)  # the one validation",
         "    # the one validation",
-        ["tests/test_steps_diff.py::test_is_contractible_validates_its_start_once"],
+        ["tests/test_cycles.py::test_is_contractible_validates_its_start_once"],
     ),
     (
         "facets-wrong-level",
         PKG + "complexes.py",
         "covered = {face for c in above for face in combinations(c, k + 1)}",
         "covered = {face for c in above for face in combinations(c, k)}",
-        ["tests/test_simplify_diff.py::test_facets_match_quadratic_scan_seeded"],
+        ["tests/test_builders.py::test_facets_are_the_maximal_cells_seeded"],
     ),
     (
         "csv-crlf",
         PKG + "fileio.py",
         'lineterminator="\\n"',
         'lineterminator="\\r\\n"',
-        ["tests/test_simplify_diff.py::test_rows_to_csv_matches_old_writer"],
+        ["tests/test_builders.py::test_rows_to_csv_is_pinned", "tests/test_builders.py::test_csv_writers_are_pinned"],
+    ),
+    # the naive oracles: the rewriting relation, walk values, the audit and the searches
+    (
+        "te-inserts-before-the-edge",
+        PKG + "symcochains.py",
+        'yield "TE", p, tri, verts[: p + 1] + (mid,) + verts[p + 1 :]',
+        'yield "TE", p, tri, verts[:p] + (mid,) + verts[p:]',
+        ["tests/test_cycles.py::test_steps_match_the_oracle_relation"],
+    ),
+    (
+        "walk-composed-last-edge-first",
+        PKG + "symcochains.py",
+        "out = f.value_on((a, b)).compose(out)",
+        "out = out.compose(f.value_on((a, b)))",
+        ["tests/test_cycles.py::test_walk_composite_and_domain_match_the_fold"],
+    ),
+    (
+        "ee-gap-counts-undefined-start",
+        PKG + "symcochains.py",
+        "if comp.apply(j) is not None and b.apply(j) is None",
+        "if b.apply(j) is None",
+        ["tests/test_cycles.py::test_good_function_check_matches_the_oracle_on_criterion_10_inputs"],
+    ),
+    (
+        "step-violation-counts-undefined-end",
+        PKG + "symcochains.py",
+        "if va is not None and vb is not None and va != vb:",
+        "if va is not None and va != vb:",
+        ["tests/test_cycles.py::test_good_function_check_matches_the_oracle_on_criterion_10_inputs"],
+    ),
+    (
+        "audit-bases-reversed",
+        PKG + "symcochains.py",
+        "for base in sorted(x.vertices):",
+        "for base in sorted(x.vertices, reverse=True):",
+        ["tests/test_cycles.py::test_good_function_check_matches_the_oracle_on_criterion_10_inputs"],
+    ),
+    (
+        "contraction-route-unreversed",
+        PKG + "symcochains.py",
+        "return ContractionVerdict(True, list(reversed(seq)), explored, False)",
+        "return ContractionVerdict(True, seq, explored, False)",
+        ["tests/test_cycles.py::test_is_contractible_routes_are_shortest_and_explored_counts_pinned"],
+    ),
+    (
+        "contraction-budget-one-over",
+        PKG + "symcochains.py",
+        "while queue and explored < max_steps:",
+        "while queue and explored <= max_steps:",
+        ["tests/test_cycles.py::test_is_contractible_routes_are_shortest_and_explored_counts_pinned"],
+    ),
+    (
+        "assignments-last-vertex-fastest",
+        PKG + "symcochains.py",
+        "yield dict(zip(verts, reversed(combo)))",
+        "yield dict(zip(verts, combo))",
+        ["tests/test_builders.py::test_eta_minimality_matches_the_first_violation"],
+    ),
+    (
+        "gauge-score-adds-the-distance",
+        PKG + "symcochains.py",
+        "return eta * (wf - weight(g)) - sym_distance(f, g)",
+        "return eta * (wf - weight(g)) + sym_distance(f, g)",
+        ["tests/test_builders.py::test_eta_minimality_matches_the_first_violation"],
+    ),
+    (
+        "vertex-link-fit-last-minimum",
+        PKG + "symcochains.py",
+        "g = min(_assignments(link_verts, f.n), key=objective)",
+        "g = min(reversed(list(_assignments(link_verts, f.n))), key=objective)",
+        ["tests/test_builders.py::test_vertex_link_correction_matches_the_first_minimum_fit"],
+    ),
+    (
+        "vertex-link-adoption-strict",
+        PKG + "symcochains.py",
+        "if Fraction(before - after, total) >= eta1:",
+        "if Fraction(before - after, total) > eta1:",
+        ["tests/test_builders.py::test_vertex_link_correction_matches_the_first_minimum_fit"],
+    ),
+    (
+        "vote-share-strict",
+        PKG + "symcochains.py",
+        "if Fraction(top_c, defined) >= eta1:",
+        "if Fraction(top_c, defined) > eta1:",
+        ["tests/test_builders.py::test_single_edge_correction_matches_the_majority_vote"],
+    ),
+    (
+        "vote-drop-at-the-threshold",
+        PKG + "symcochains.py",
+        "elif all(Fraction(c, defined) < 1 - eta1",
+        "elif all(Fraction(c, defined) <= 1 - eta1",
+        ["tests/test_builders.py::test_single_edge_correction_matches_the_majority_vote"],
+    ),
+    (
+        "backtrack-word-reversed",
+        PKG + "complexes.py",
+        "relations.append(((edge_gen(a, b), 1), (edge_gen(b, a), 1)))",
+        "relations.append(((edge_gen(b, a), 1), (edge_gen(a, b), 1)))",
+        ["tests/test_builders.py::test_presentations_match_the_oracle_seeded"],
+    ),
+    (
+        "inverse-letter-read-forward",
+        PKG + "actions.py",
+        "lines.append(perm._inverse_line if exp < 0 else perm._line)",
+        "lines.append(perm._line)",
+        ["tests/test_actions.py::test_word_evaluation_matches_the_oracle_seeded"],
+    ),
+    # negative sizes and the loader lines
+    (
+        "errperm-negative-size-accepted",
+        PKG + "perms.py",
+        "        if size < 0:\n",
+        "        if False:\n",
+        ["tests/test_trusted_construction.py::test_public_constructors_refuse_bad_tables"],
+    ),
+    (
+        "action-negative-space-accepted",
+        PKG + "actions.py",
+        "        if self.space < 0:\n",
+        "        if False:\n",
+        ["tests/test_trusted_construction.py::test_public_constructors_refuse_bad_tables"],
+    ),
+    (
+        "complex-negative-vertex-unlined",
+        PKG + "fileio.py",
+        "        if min(face) < 0:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "cochain-cell-size-unlined",
+        PKG + "fileio.py",
+        "        if len(cell) != k + 1:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "cochain-cell-outside-unlined",
+        PKG + "fileio.py",
+        "        if not x.has_cell(cell):\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
     ),
 )
 
