@@ -33,26 +33,23 @@ class SimplicialComplex:
     __slots__ = ("dim", "faces_by_dim", "is_pure", "_index", "_top_counts", "_adj", "_cache")
 
     def __init__(self, faces_by_dim: tuple[tuple[Cell, ...], ...]):
+        self._fill(faces_by_dim, None)
+
+    @classmethod
+    def _of_known_purity(cls, faces_by_dim: tuple[tuple[Cell, ...], ...], is_pure: bool) -> "SimplicialComplex":
+        """A complex whose purity is already known, as a cover's is its base's; skips ``_check_pure``."""
+        return cls.__new__(cls)._fill(faces_by_dim, is_pure)
+
+    def _fill(self, faces_by_dim: tuple[tuple[Cell, ...], ...], is_pure: bool | None) -> "SimplicialComplex":
+        """Set every slot, checking purity only when ``is_pure`` is None; returns ``self``."""
         self.faces_by_dim = faces_by_dim
         self.dim = len(faces_by_dim) - 1
         self._index = tuple({c: i for i, c in enumerate(cells)} for cells in faces_by_dim)
         self._top_counts: dict[int, tuple[int, ...]] = {}
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._cache: dict = {}
-        self.is_pure = self._check_pure()
-
-    @classmethod
-    def _of_known_purity(cls, faces_by_dim: tuple[tuple[Cell, ...], ...], is_pure: bool) -> "SimplicialComplex":
-        """A complex whose purity is already known, as a cover's is its base's; skips ``_check_pure``."""
-        x = cls.__new__(cls)
-        x.faces_by_dim = faces_by_dim
-        x.dim = len(faces_by_dim) - 1
-        x._index = tuple({c: i for i, c in enumerate(cells)} for cells in faces_by_dim)
-        x._top_counts = {}
-        x._adj = None
-        x._cache = {}
-        x.is_pure = is_pure
-        return x
+        self.is_pure = self._check_pure() if is_pure is None else is_pure
+        return self
 
     # -- construction -------------------------------------------------
 

@@ -3,7 +3,10 @@
 Every run is determined by its config (seed included); identical configs
 produce byte-identical CSV.  Instances are built on the triangulated annulus
 with an exact holonomy action, twisted sign lifts, and seeded noise, then
-repaired and pushed through the covering-distance experiment.
+repaired and pushed through the covering-distance experiment.  The noise
+injectors refuse a rate outside [0, 1] and a pairing that noise would break
+(a generator in two inverse pairs, a noised generator paired with itself)
+before they draw any noise, and build the noised action unchecked.
 """
 
 from __future__ import annotations
@@ -62,43 +65,52 @@ def _signed_double(targets, bits, points: tuple[int, ...]) -> ErrPerm:
     return ErrPerm._trusted(len(points), points, tuple(line))
 
 
-def _coherent_noise(action: AlmostAction, skip, noise_of) -> AlmostAction:
-    """Compose every generator image outside ``skip`` with the noise ``noise_of(g)``.
+def _signed_support_perm(space: int, eps: Fraction, rng: SplitMix64) -> ErrPerm:
+    """Uniform permutation of a floor(eps*n)-subset of the n = space/2 unsigned points, each flipping sign at random."""
+    n = space // 2
+    k = int(eps * n)
+    base = list(range(n))
+    signs = [0] * n
+    if k >= 1:  # unlike a permutation, one point can still flip its sign
+        for a, b in _subset_shuffle(rng, n, k):
+            base[a] = b
+            signs[a] = rng.below(2)
+    return _signed_double(base, signs, tuple(range(space)))
 
-    A declared inverse partner takes the inverse of the noised image instead
-    of noise of its own, so the pair stays inverse; skipping one member of a
-    pair skips both.  The noised action is checked when it is built: a
-    presentation may pair one generator twice, or with itself, and then the
-    noise can break a pair.
+
+def _noise(action: AlmostAction, eps, seed: int, skip, draw) -> AlmostAction:
+    """Compose every generator image outside ``skip`` with its noise ``draw(space, eps, rng.spawn(g))``.
+
+    A declared inverse partner takes the inverse of the noised image, so the
+    pair stays inverse; skipping one member of a pair skips both.  The rate
+    and the pairing are checked first, so the noised action is built unchecked.
     """
-    partner = {a: b for a, b in action.presentation.inverse_pairs}
-    partner.update({b: a for a, b in action.presentation.inverse_pairs})
+    eps = Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise PermstabError("noise rate out of range")
+    partner = {}
+    for a, b in action.presentation.inverse_pairs:
+        for g in dict.fromkeys((a, b)):
+            if g in partner:
+                raise PermstabError(f"generator {g!r} is in two inverse pairs")
+        if a == b and a not in skip:
+            raise PermstabError(f"noised generator {a!r} is paired with itself")
+        partner[a], partner[b] = b, a
+    rng = SplitMix64(seed)
     images = dict(action.images)
     done = set(skip) | {partner[g] for g in skip if g in partner}
     for g in action.generators:
-        if g in done:
-            continue
-        noised = compose(noise_of(g), action.image(g))
-        images[g] = noised
-        done.add(g)
-        if g in partner:
-            images[partner[g]] = noised.inverse()
-            done.add(partner[g])
-    return AlmostAction(action.presentation, action.space, images)
+        if g not in done:
+            noised = images[g] = compose(draw(action.space, eps, rng.spawn(g)), action.image(g))
+            if g in partner:
+                images[partner[g]] = noised.inverse()
+                done.add(partner[g])
+    return AlmostAction._trusted(action.presentation, action.space, images)
 
 
 def _realized(out: AlmostAction, action: AlmostAction) -> dict[str, Fraction]:
     """The distance of every noised generator image from its original."""
     return {g: hamming(out.image(g), action.image(g)) for g in action.generators}
-
-
-def _uniform_noise(action: AlmostAction, eps, seed: int, skip: tuple[str, ...]) -> AlmostAction:
-    """``noise_injector``'s noised action, without the distances."""
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise PermstabError("noise rate out of range")
-    rng = SplitMix64(seed)
-    return _coherent_noise(action, skip, lambda g: _support_perm(action.space, eps, rng.spawn(g)))
 
 
 def noise_injector(
@@ -108,10 +120,11 @@ def noise_injector(
 
     Declared inverse pairs are perturbed coherently so they stay inverse;
     the generators in ``skip`` and their partners keep their images.
-    Returns the noised action and the realized per-generator distances, each
-    at most ``eps``.
+    Refuses a rate outside [0, 1], a generator in two inverse pairs and a
+    noised generator paired with itself.  Returns the noised action and the
+    realized per-generator distances, each at most ``eps``.
     """
-    out = _uniform_noise(action, eps, seed, skip)
+    out = _noise(action, eps, seed, skip, _support_perm)
     return out, _realized(out, action)
 
 
@@ -121,27 +134,12 @@ def signed_noise_injector(
     """Noise that commutes with the sign flip, leaving ``tau`` untouched.
 
     The support is a floor(eps*n)-subset of the unsigned points; a uniform
-    permutation acts on it and every supported point may flip sign.
+    permutation acts on it and every supported point may flip sign.  Refuses
+    what ``noise_injector`` refuses, and an action on an odd set.
     """
-    eps = Fraction(eps)
     if action.space % 2:
         raise PermstabError("need an action on a signed double")
-    n = action.space // 2
-    k = int(eps * n)
-    rng = SplitMix64(seed)
-    points = tuple(range(2 * n))
-
-    def signed_noise(g: str) -> ErrPerm:
-        sub = rng.spawn(g)
-        base = list(range(n))
-        signs = [0] * n
-        if k >= 1:  # unlike a permutation, one point can still flip its sign
-            for a, b in _subset_shuffle(sub, n, k):
-                base[a] = b
-                signs[a] = sub.below(2)
-        return _signed_double(base, signs, points)
-
-    out = _coherent_noise(action, (tau,), signed_noise)
+    out = _noise(action, eps, seed, (tau,), _signed_support_perm)
     return out, _realized(out, action)
 
 
@@ -320,7 +318,7 @@ def build_instance(config: ExperimentConfig):
         signs = F2Cochain(x, 1, bits)
     phi = coboundary(signs)
     lift = sign_twisted_lift(f, signs, n)
-    raw = _uniform_noise(lift, config.epsilon, config.seed ^ 0xA5A5, skip=("tau",))
+    raw = _noise(lift, config.epsilon, config.seed ^ 0xA5A5, ("tau",), _support_perm)
     return x, phi, raw, f
 
 

@@ -391,7 +391,7 @@ def single_edge_correction(f: SymCochain, u: int, v: int, eta1) -> SymCochain:
                 votes[res] = votes.get(res, 0) + 1
         if defined == 0:
             continue
-        top_j, top_c = min(((j, c) for j, c in votes.items()), key=lambda t: (-t[1], t[0]))
+        top_j, top_c = max(votes.items(), key=lambda t: t[1])
         if Fraction(top_c, defined) >= eta1:
             new = new.set_index(i, top_j)  # evicts whoever holds the winning slot
         elif all(Fraction(c, defined) < 1 - eta1 for c in votes.values()):
@@ -618,7 +618,7 @@ def _steps(x: SimplicialComplex, verts: tuple, max_len: int):
     for p in range(length - 1):
         u, mid, w = verts[p : p + 3]
         tri = tuple(sorted((u, mid, w)))
-        if len({u, mid, w}) == 3 and x.has_cell(tri) and x.has_cell((u, w)):
+        if len({u, mid, w}) == 3 and x.has_cell(tri):
             yield "TC", p, tri, verts[: p + 1] + verts[p + 2 :]
     if length + 1 <= max_len:
         for p in range(length):

@@ -14,6 +14,9 @@ is no point of any domain, so it absorbs.  What each oracle reads:
 * ``evaluate_word``, ``defect``: a word is its letters composed after the
   identity of range(space), an inverse letter read inverted; the defect is
   the largest ``hamming`` distance of a relation from the identity.
+* ``cell_weight``, ``sym_distance``: PAPER.md's distance, P[f(s).i != g(s).i]
+  over a cell drawn top cell first and an index of the larger index set, an
+  index that only one side has counted as a mismatch.
 * ``edge_maps``, ``walk``, ``walk_domain``, ``moved``: an edge cochain as one
   point map per oriented edge (the reversed orientation carries the inverse),
   a walk's value as the left fold of its edge maps, first edge first.
@@ -39,6 +42,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
+from math import comb
 from operator import xor
 
 from permstab.cohomology import F2Cochain
@@ -198,6 +202,31 @@ def defect(action) -> Fraction:
     """The largest ``hamming`` distance of an evaluated relation from the identity; 0 without relations."""
     ident = identity(action.space)
     return max((hamming(evaluate_word(action, rel), ident) for rel in action.presentation.relations), default=Fraction(0))
+
+
+# -- the distance of PAPER.md ---------------------------------------------------
+
+
+def cell_weight(x, cell) -> Fraction:
+    """P[cell] when a uniform top cell is drawn, then a uniform face of the cell's size inside it."""
+    tops = x.cells(x.dim)
+    inside = sum(1 for t in tops if set(cell) <= set(t))
+    return Fraction(inside, len(tops) * comb(x.dim + 1, len(cell)))
+
+
+def sym_distance(f, g) -> Fraction:
+    """P[f(s).i != g(s).i] over a weighted cell s and a uniform index i in range(max(n_f, n_g)).
+
+    An index mismatches when only one side has it, or when the two values
+    differ, an undefined value against a defined one included.
+    """
+    m = max(f.n, g.n)
+    total = Fraction(0)
+    for s in f.complex.cells(f.degree):
+        a, b = f.values[s].images, g.values[s].images
+        mismatches = sum(1 for i in range(m) if i >= len(a) or i >= len(b) or a[i] != b[i])
+        total += cell_weight(f.complex, s) * Fraction(mismatches, m)
+    return total
 
 
 # -- edge cochains and walks ----------------------------------------------------

@@ -8,8 +8,6 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
-import pytest
-
 from permstab.actions import AlmostAction, action_distance, defect, normalize_sofic_approx
 from permstab.cohomology import (
     F2Cochain,
@@ -17,22 +15,17 @@ from permstab.cohomology import (
     cocycle_expansion_constant,
     cohomology_dim,
     cosystole,
-    weighted_norm,
-    zero_cochain,
 )
 from permstab.complexes import (
-    SimplicialComplex,
     annulus,
     boundary_of_simplex,
     face_weight,
     full_triangle,
-    fundamental_group_presentation,
     hollow_polygon,
-    spanning_tree,
 )
 from permstab.covers import build_cover, first_type_triangle_check, zeta_cochain
 from permstab.errors import BoundViolation
-from permstab.experiments import ExperimentConfig, build_instance, run_pipeline, sweep
+from permstab.experiments import ExperimentConfig, build_instance, sweep
 from permstab.perms import (
     ErrPerm,
     commute_with_sign_flip,

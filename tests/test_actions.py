@@ -22,7 +22,7 @@ from permstab.complexes import Presentation
 from permstab.covers import contradiction_experiment
 from permstab.errors import PermstabError
 from permstab.experiments import ExperimentConfig, build_instance, rows_to_csv, run_pipeline, sweep
-from permstab.perms import ErrPerm, compose, hamming, sign_flip, signed_encode
+from permstab.perms import ErrPerm, compose, hamming, sign_flip
 from permstab.rng import SplitMix64
 from test_oracles import same_outcome
 from test_perms import random_perm

@@ -12,7 +12,6 @@ from permstab.cohomology import cochain_from_support
 from permstab.complexes import (
     Presentation,
     SimplicialComplex,
-    annulus,
     boundary_of_simplex,
     full_triangle,
     fundamental_group_presentation,
@@ -21,7 +20,6 @@ from permstab.complexes import (
 )
 from permstab.errors import FormatError
 from permstab.perms import ErrPerm
-from permstab.rng import SplitMix64
 from permstab.symcochains import PartialInj, SymCochain
 
 

@@ -39,11 +39,7 @@ from permstab.covers import (
     zeta_cochain,
 )
 from permstab.errors import PermstabError
-from permstab.experiments import (
-    exact_action_from_int_cocycle,
-    sign_twisted_lift,
-    signed_noise_injector,
-)
+from permstab.experiments import exact_action_from_int_cocycle
 from permstab.perms import ErrPerm
 from permstab.rng import SplitMix64
 

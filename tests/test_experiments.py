@@ -10,7 +10,7 @@ from permstab.actions import AlmostAction
 from permstab import experiments
 from permstab.cli import main
 from permstab.cohomology import F2Cochain
-from permstab.errors import BoundViolation
+from permstab.errors import BoundViolation, PermstabError
 from permstab.complexes import Presentation, annulus, annulus_winding_cocycle, edge_gen, hollow_polygon, spanning_tree
 from permstab.experiments import (
     ExperimentConfig,
@@ -120,6 +120,39 @@ def test_signed_noise_leaves_a_paired_tau_alone():
     for eps in (0, Fraction(1, 2), 1):
         out, realized = signed_noise_injector(action, eps, seed=3)
         assert out.images == action.images and realized == {"a": 0, "tau": 0}
+
+
+def test_noise_injectors_refuse_a_rate_outside_the_unit_interval():
+    action = annulus_lift(4)
+    for inject in (noise_injector, signed_noise_injector):
+        for eps in (-1, 2):
+            with pytest.raises(PermstabError, match="^noise rate out of range$"):
+                inject(action, eps, seed=1)
+
+
+def test_noise_refuses_a_noised_generator_paired_with_itself():
+    """Noise breaks an involution paired with itself, at any rate; skipped, the pair stays legal."""
+    flip = ErrPerm.from_mapping({i: i ^ 1 for i in range(8)}, 8)
+    action = AlmostAction(Presentation(("a", "tau"), (), (("a", "a"),)), 8, {"a": flip, "tau": flip})
+    for inject in (noise_injector, signed_noise_injector):
+        for eps in (0, 1):
+            with pytest.raises(PermstabError, match="^noised generator 'a' is paired with itself$"):
+                inject(action, eps, seed=2)
+    tau_pair = AlmostAction(Presentation(("a", "tau"), (), (("tau", "tau"),)), 8, {"a": flip, "tau": flip})
+    out, realized = signed_noise_injector(tau_pair, 1, seed=2)
+    assert out.image("tau") == flip and realized["tau"] == 0 and realized["a"] > 0
+    out, realized = noise_injector(action, 1, seed=2, skip=("a",))
+    assert out.image("a") == flip and realized["a"] == 0
+
+
+@pytest.mark.parametrize("skip", [(), ("a",), ("c",)])
+def test_noise_refuses_a_generator_in_two_pairs(skip):
+    """A second pair would overwrite the image of its shared member, skipped or not."""
+    ident = ErrPerm.identity(6)
+    pres = Presentation(("a", "b", "c"), (), (("a", "b"), ("c", "a")))
+    action = AlmostAction(pres, 6, dict.fromkeys(pres.generators, ident))
+    with pytest.raises(PermstabError, match="^generator 'a' is in two inverse pairs$"):
+        noise_injector(action, Fraction(1, 2), seed=3, skip=skip)
 
 
 def test_integer_cocycle_basis_shapes():

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permstab"
+TESTS = Path(__file__).resolve().parent
 
 
-def _modules():
-    for path in sorted(PACKAGE.rglob("*.py")):
-        yield path.relative_to(PACKAGE).as_posix(), path.read_text()
+def _modules(root: Path = PACKAGE):
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root.parent).as_posix(), path.read_text()
 
 
 def test_absolute_imports_are_standard_library():
@@ -29,9 +30,9 @@ def test_absolute_imports_are_standard_library():
 
 
 def test_imported_names_are_used():
-    """An import kept only for other modules to reach says so with ``# noqa: F401`` on its line."""
+    """No unused import in the package or the tests; one kept for other modules to reach says so with ``# noqa: F401``."""
     unused = []
-    for name, source in _modules():
+    for name, source in (*_modules(), *_modules(TESTS)):
         if name.endswith("__init__.py"):
             continue
         tree = ast.parse(source)

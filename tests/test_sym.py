@@ -17,7 +17,6 @@ from permstab.errors import PermstabError
 from permstab.rng import SplitMix64
 from permstab.symcochains import (
     Cycle,
-    GoodFunctionReport,
     PartialInj,
     SamplerGraph,
     SymCochain,
@@ -359,18 +358,24 @@ PURE_SURFACES = [
 ]
 
 
+def partial_cochain(draw, x, degree: int) -> SymCochain:
+    """A cochain of random partial injections on 1-4 indices."""
+    n = draw(st.integers(1, 4))
+    values = {}
+    for cell in x.cells(degree):
+        perm = draw(st.permutations(range(n)))
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values[cell] = PartialInj(n, tuple(p if k else None for p, k in zip(perm, kept)))
+    return SymCochain(x, degree, n, values)
+
+
 @st.composite
 def partial_cochains(draw):
     """A pure 2-complex, an edge cochain of random partial injections, and oriented triangles."""
     x = draw(st.sampled_from(PURE_SURFACES))
-    n = draw(st.integers(1, 4))
-    values = {}
-    for cell in x.cells(1):
-        perm = draw(st.permutations(range(n)))
-        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        values[cell] = PartialInj(n, tuple(p if k else None for p, k in zip(perm, kept)))
+    f = partial_cochain(draw, x, 1)
     tris = [tuple(draw(st.permutations(t))) for t in x.cells(2)]
-    return SymCochain(x, 1, n, values), tris
+    return f, tris
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,6 +434,25 @@ def test_vertex_correction_eta2_deletion():
         for i in range(3):
             val = triangle_composite(out, tri).apply(i)
             assert val is None or val == i
+
+
+# -- the distance against its definition -----------------------------------------------
+
+
+@st.composite
+def cochain_pairs(draw):
+    """Two cochains of one degree on one pure surface, with partial values and index sets drawn apart."""
+    x = draw(st.sampled_from(PURE_SURFACES))
+    degree = draw(st.integers(0, 2))
+    return partial_cochain(draw, x, degree), partial_cochain(draw, x, degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=cochain_pairs())
+def test_sym_distance_matches_the_definition(pair):
+    f, g = pair
+    assert sym_distance(f, g) == oracles.sym_distance(f, g)
+    assert weight(f) == oracles.sym_distance(f, identity_cochain(f.complex, f.degree, f.n))
 
 
 # -- global deletion ------------------------------------------------------------------------

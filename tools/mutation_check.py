@@ -109,7 +109,7 @@ MUTATIONS = (
         "",
         ["tests/test_cover_lift.py::test_verify_cover_rejects_a_star_that_repeats_a_projection_with_every_count_right"],
     ),
-    # experiments: one coherent-noise loop
+    # experiments: one noise core, its rate and pairing checked before any noise is drawn
     (
         "partner-left-uninverted",
         PKG + "experiments.py",
@@ -128,11 +128,39 @@ MUTATIONS = (
         ],
     ),
     (
-        "signed-noise-other-stream",
+        "noise-other-stream",
         PKG + "experiments.py",
-        "sub = rng.spawn(g)",
-        "sub = rng.spawn((g,))",
+        "draw(action.space, eps, rng.spawn(g))",
+        "draw(action.space, eps, rng.spawn((g,)))",
         ["tests/test_experiments.py::test_noise_injectors_match_pinned_digests"],
+    ),
+    (
+        "noise-rate-unchecked",
+        PKG + "experiments.py",
+        "    if not 0 <= eps <= 1:\n",
+        "    if False:\n",
+        ["tests/test_experiments.py::test_noise_injectors_refuse_a_rate_outside_the_unit_interval"],
+    ),
+    (
+        "noise-generator-in-two-pairs-accepted",
+        PKG + "experiments.py",
+        "            if g in partner:\n                raise",
+        "            if False:\n                raise",
+        ["tests/test_experiments.py::test_noise_refuses_a_generator_in_two_pairs"],
+    ),
+    (
+        "noise-self-pair-accepted",
+        PKG + "experiments.py",
+        "if a == b and a not in skip:",
+        "if False:",
+        ["tests/test_experiments.py::test_noise_refuses_a_noised_generator_paired_with_itself"],
+    ),
+    (
+        "noise-skipped-self-pair-refused",
+        PKG + "experiments.py",
+        "if a == b and a not in skip:",
+        "if a == b:",
+        ["tests/test_experiments.py::test_noise_refuses_a_noised_generator_paired_with_itself"],
     ),
     # cohomology: one set-bit walk, one XOR of rows
     (
@@ -564,7 +592,7 @@ MUTATIONS = (
         'lineterminator="\\r\\n"',
         ["tests/test_builders.py::test_rows_to_csv_is_pinned", "tests/test_builders.py::test_csv_writers_are_pinned"],
     ),
-    # the naive oracles: the rewriting relation, walk values, the audit and the searches
+    # the naive oracles: the rewriting relation, walk values, the audit, the searches and the distance
     (
         "te-inserts-before-the-edge",
         PKG + "symcochains.py",
@@ -669,6 +697,13 @@ MUTATIONS = (
         "lines.append(perm._inverse_line if exp < 0 else perm._line)",
         "lines.append(perm._line)",
         ["tests/test_actions.py::test_word_evaluation_matches_the_oracle_seeded"],
+    ),
+    (
+        "sym-distance-missing-index-agrees",
+        PKG + "symcochains.py",
+        "mism = m - shared\n",
+        "mism = 0\n",
+        ["tests/test_sym.py::test_sym_distance_matches_the_definition"],
     ),
     # negative sizes and the loader lines
     (
