@@ -180,31 +180,35 @@ class StageReport:
     holds: bool
 
 
-def _central_relations(gens, tau: str) -> list[Word]:
-    """tau^2, then the commutator [tau, g] for every other generator g in order."""
-    return [((tau, 1), (tau, 1))] + [((tau, 1), (g, 1), (tau, -1), (g, -1)) for g in gens if g != tau]
+TAU = "tau"  # the central generator of every extension presentation
 
 
-def extension_relations(presentation: Presentation, tau: str) -> Presentation:
-    """Ensure tau^2 and all sign-flip commutators are among the relations."""
-    if tau not in presentation.generators:
-        raise PermstabError(f"distinguished generator {tau!r} missing")
-    return presentation.with_extra_relations(_central_relations(presentation.generators, tau))
+def _central_relations(gens) -> list[Word]:
+    """TAU^2, then the commutator [TAU, g] for every other generator g in order."""
+    return [((TAU, 1), (TAU, 1))] + [((TAU, 1), (g, 1), (TAU, -1), (g, -1)) for g in gens if g != TAU]
 
 
-def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[AlmostAction, StageReport]:
-    """Repair an extension action so tau acts as the exact sign flip.
+def extension_relations(presentation: Presentation) -> Presentation:
+    """Ensure TAU^2 and all sign-flip commutators are among the relations."""
+    if TAU not in presentation.generators:
+        raise PermstabError(f"distinguished generator {TAU!r} missing")
+    return presentation.with_extra_relations(_central_relations(presentation.generators))
 
-    Stage 1 replaces the tau image with an involution: tau where its square
-    fixes, the identity elsewhere, at a distance equal to that of tau squared
-    from the identity (``fix_to_involution``; not always the nearest
-    involution).  Stage 2 removes its fixed points, relabels the enlarged set
-    as a signed double so that tau becomes the sign flip, and re-embeds the
-    other generators with identity action on any padding point.  Stage 3
-    makes every other image commute with the flip, independently per
-    generator.  All images must be total for the staged repairs to apply.
+
+def normalize_sofic_approx(action: AlmostAction) -> tuple[AlmostAction, StageReport]:
+    """Repair an extension action so its central generator ``TAU`` acts as the exact sign flip.
+
+    Stage 1 replaces the image of ``TAU`` with an involution: that image
+    where its square fixes, the identity elsewhere, at a distance equal to
+    that of its square from the identity (``fix_to_involution``; not always
+    the nearest involution).  Stage 2 removes its fixed points, relabels the
+    enlarged set as a signed double so that it becomes the sign flip, and
+    re-embeds the other generators with identity action on any padding
+    point.  Stage 3 makes every other image commute with the flip,
+    independently per generator.  All images must be total for the staged
+    repairs to apply.
     """
-    pres = extension_relations(action.presentation, tau)
+    pres = extension_relations(action.presentation)
     # the extension keeps the generators and inverse pairs, so the checked images stay valid
     action = AlmostAction._trusted(pres, action.space, dict(action.images))
     for g, perm in action.images.items():
@@ -212,12 +216,12 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
             raise PermstabError(f"stage repairs need total images; {g!r} is partial")
     ident = ErrPerm.identity(action.space)
     eps = defect(action)
-    eps_prime = 1 - hamming(action.image(tau), ident)
+    eps_prime = 1 - hamming(action.image(TAU), ident)
 
     # stage 1: tau to an involution
-    inv = fix_to_involution(action.image(tau))
-    d1 = hamming(inv, action.image(tau))
-    stage1 = {g: (inv if g == tau else p) for g, p in action.images.items()}
+    inv = fix_to_involution(action.image(TAU))
+    d1 = hamming(inv, action.image(TAU))
+    stage1 = {g: (inv if g == TAU else p) for g, p in action.images.items()}
 
     # stage 2: drop fixed points, relabel the result as a signed double
     fpf = fix_fixed_point_free(inv)
@@ -239,16 +243,16 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
     points = tuple(range(twice))
     stage2 = {}
     for g, perm in stage1.items():
-        line = fpf.images if g == tau else perm.images + pad
+        line = fpf.images if g == TAU else perm.images + pad
         stage2[g] = ErrPerm._trusted(twice, points, tuple([relabel[line[x]] for x in back]))
-    if stage2[tau].images != sign_flip(twice // 2).images:
+    if stage2[TAU].images != sign_flip(twice // 2).images:
         raise PermstabError("internal: tau is not the sign flip after stage 2")
 
     # stage 3: conjugation-commuting repair, independently per generator
     stage3 = {}
     d3 = Fraction(0)
     for g, perm in stage2.items():
-        if g == tau:
+        if g == TAU:
             stage3[g] = perm
             continue
         repaired = commute_with_sign_flip(perm)
@@ -274,43 +278,43 @@ def normalize_sofic_approx(action: AlmostAction, tau: str = "tau") -> tuple[Almo
     return out, report
 
 
-def is_sign_commuting(action: AlmostAction, tau: str = "tau") -> bool:
+def is_sign_commuting(action: AlmostAction) -> bool:
     if action.space % 2 != 0:
         return False
-    if action.image(tau) != sign_flip(action.space // 2):
+    if action.image(TAU) != sign_flip(action.space // 2):
         return False
     return all(
         commutes_with_flip(action.image(g))
         for g in action.generators
-        if g != tau and action.image(g).is_total
+        if g != TAU and action.image(g).is_total
     )
 
 
-def quotient_presentation(presentation: Presentation, tau: str = "tau") -> Presentation:
+def quotient_presentation(presentation: Presentation) -> Presentation:
     """Erase the central generator from every relation and drop what cancels."""
-    gens = tuple(g for g in presentation.generators if g != tau)
+    gens = tuple(g for g in presentation.generators if g != TAU)
     relations = []
     seen = set()
     for rel in presentation.relations:
-        word = free_reduce(tuple(l for l in rel if l[0] != tau))
+        word = free_reduce(tuple(l for l in rel if l[0] != TAU))
         if word and word not in seen:
             relations.append(word)
             seen.add(word)
-    pairs = tuple(p for p in presentation.inverse_pairs if tau not in p)
+    pairs = tuple(p for p in presentation.inverse_pairs if TAU not in p)
     return Presentation(gens, tuple(relations), pairs)
 
 
-def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAction:
+def induced_quotient_action(action: AlmostAction) -> AlmostAction:
     """Project a sign-commuting action to the unsigned points."""
     if action.space % 2 != 0:
         raise PermstabError("need an action on a signed double")
     n = action.space // 2
-    if action.image(tau) != sign_flip(n):
-        raise PermstabError(f"{tau!r} does not act as the sign flip")
+    if action.image(TAU) != sign_flip(n):
+        raise PermstabError(f"{TAU!r} does not act as the sign flip")
     images = {}
     points = tuple(range(n))
     for g in action.generators:
-        if g == tau:
+        if g == TAU:
             continue
         perm = action.image(g)
         if not perm.is_total:
@@ -318,7 +322,7 @@ def induced_quotient_action(action: AlmostAction, tau: str = "tau") -> AlmostAct
         if not commutes_with_flip(perm):
             raise PermstabError(f"image of {g!r} does not commute with the sign flip")
         images[g] = ErrPerm._trusted(n, points, tuple([y >> 1 for y in perm.images[::2]]))
-    return AlmostAction._trusted(quotient_presentation(action.presentation, tau), n, images)
+    return AlmostAction._trusted(quotient_presentation(action.presentation), n, images)
 
 
 def separation_report(action: AlmostAction, max_len: int, limit: int = 2000):

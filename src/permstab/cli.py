@@ -121,7 +121,7 @@ def cmd_action_defect(args) -> int:
 def cmd_action_repair(args) -> int:
     pres = fileio.load_presentation(_read(args.presentation))
     action = fileio.load_action(_read(args.action), pres)
-    repaired, report = normalize_sofic_approx(action, tau=args.tau)
+    repaired, report = normalize_sofic_approx(action)
     if args.out:
         _write(args.out, fileio.dump_action(repaired))
     rows = [
@@ -169,11 +169,11 @@ def cmd_cover_experiment(args) -> int:
     x = fileio.load_complex(_read(args.complex))
     phi = fileio.load_cochain(_read(args.phi), x)
     tree = spanning_tree(x, min(x.vertices))
-    ext = extension_from_cocycle(x, tree, phi)
+    ext = extension_from_cocycle(tree, phi)
     psi = fileio.load_action(_read(args.psi), ext)
     base = fundamental_group_presentation(x, tree)
     f = fileio.load_action(_read(args.f), base)
-    report = contradiction_experiment(x, phi, psi, f)
+    report = contradiction_experiment(phi, psi, f)
     rows = [[
         format_fraction(report.eps),
         format_fraction(report.rho),
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ps.add_parser("repair")
     q.add_argument("presentation")
     q.add_argument("action")
-    q.add_argument("--tau", default="tau")
     q.add_argument("--out", default=None)
     q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_action_repair)

@@ -122,10 +122,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.cells(0))
 
-    @property
-    def vertex_count(self) -> int:
-        return self.cells(0)[-1][0] + 1 if self.cells(0) else 0
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         if self._adj is None:
             adj: dict[int, list[int]] = {u: [] for u in self.vertices}

@@ -23,6 +23,7 @@ from itertools import chain, combinations, repeat
 from operator import itemgetter
 
 from .actions import (
+    TAU,
     AlmostAction,
     _central_relations,
     _column,
@@ -175,18 +176,16 @@ def pull_back_cocycle(phi: F2Cochain, cov: Covering) -> F2Cochain:
     return F2Cochain(cov.total, phi.degree, _bits_at(digits, cov.lifts[phi.degree]))
 
 
-def zeta_cochain(psi: AlmostAction, f: AlmostAction, cov: Covering, tau: str = "tau"):
+def zeta_cochain(psi: AlmostAction, cov: Covering):
     """Sign-bookkeeping 1-cochain on the cover, with the type of every edge.
 
     A cover edge over xy with fiber points (a at x, b at y) is of the first
-    type when the unsigned shadow of psi agrees there with the covering
-    action; its bit is then the sign psi attaches to +b.  Second-type edges
+    type when the unsigned shadow of psi agrees there with ``cov.action``;
+    its bit is then the sign psi attaches to +b.  Second-type edges
     (including fiber points outside psi's ground set) get 0.  Each base edge
     is read once, as a column over the fiber points at its first vertex.
     """
-    if not (cov.action is f or cov.action.images == f.images):
-        raise PermstabError("cover was not built from this action")
-    if not is_sign_commuting(psi, tau):
+    if not is_sign_commuting(psi):
         raise PermstabError("psi must send tau to the sign flip and commute with it")
     if psi.space // 2 > cov.fiber_size:
         raise PermstabError("psi's ground set exceeds the covering fiber")
@@ -284,31 +283,26 @@ class ExperimentReport:
 
 
 def contradiction_experiment(
-    x: SimplicialComplex,
-    phi: F2Cochain,
-    psi: AlmostAction,
-    f: AlmostAction,
-    tau: str = "tau",
-    eps: Fraction | None = None,
+    phi: F2Cochain, psi: AlmostAction, f: AlmostAction, eps: Fraction | None = None
 ) -> ExperimentReport:
     """Measure how close the pulled-back cochain is to a coboundary.
 
     Computes eps (the defect of psi, unless the caller passes the value it
     has already measured), rho (distance of the covering action from psi's
-    unsigned shadow), builds the cover, and compares the pull-back of
-    phi with the coboundary of the sign cochain, in total, per connected
-    component, and through the two failure events.  The inequality
+    unsigned shadow), builds the cover of phi's complex from f, and compares
+    the pull-back of phi with the coboundary of the sign cochain, in total,
+    per connected component, and through the two failure events.  The inequality
     ``min-component distance <= eps + 4*rho`` is asserted; so is the per
     triangle equality on qualifying triangles.
     """
     if eps is None:
         eps = defect(psi)
-    quotient = induced_quotient_action(psi, tau)
+    quotient = induced_quotient_action(psi)
     rho = action_distance(f, quotient)
-    cov = build_cover(x, f)
+    cov = build_cover(phi.complex, f)
     y = cov.total
     phi_prime = pull_back_cocycle(phi, cov)
-    zeta, types = zeta_cochain(psi, f, cov, tau)
+    zeta, types = zeta_cochain(psi, cov)
     diff = phi_prime ^ coboundary(zeta)
     dw_total = weighted_norm(diff)
 
@@ -362,25 +356,21 @@ def contradiction_experiment(
     )
 
 
-def extension_from_cocycle(
-    x: SimplicialComplex, tree: RootedTree, phi: F2Cochain, tau: str = "tau"
-) -> Presentation:
-    """Presentation of the central 2-extension defined by a 2-cocycle.
+def extension_from_cocycle(tree: RootedTree, phi: F2Cochain) -> Presentation:
+    """Presentation of the central 2-extension defined by a 2-cocycle on its complex.
 
-    Edge generators plus a central involution tau; each oriented triangle
-    relation is twisted by tau raised to the cocycle's value there.
+    Edge generators plus the central involution ``TAU``; each oriented
+    triangle relation is twisted by ``TAU`` raised to the cocycle's value there.
     """
     if phi.degree != 2:
         raise PermstabError("expected a 2-cochain")
     if phi.complex.dim > 2 and not coboundary(phi).is_zero:
         raise PermstabError("not a cocycle")
-    if phi.complex is not x:
-        raise PermstabError("cochain does not live on this complex")
     gens, pairs, edge_relations = _edge_presentation(
-        x, tree, lambda cell: ((tau, 1),) if phi(cell) else ()
+        phi.complex, tree, lambda cell: ((TAU, 1),) if phi(cell) else ()
     )
-    relations = _central_relations(gens, tau) + edge_relations
-    return Presentation(tuple(gens) + (tau,), tuple(relations), tuple(pairs))
+    relations = _central_relations(gens) + edge_relations
+    return Presentation(tuple(gens) + (TAU,), tuple(relations), tuple(pairs))
 
 
 def adjust_section(phi: F2Cochain, psi1: F2Cochain) -> F2Cochain:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd
 
-from .actions import AlmostAction, defect, normalize_sofic_approx
+from .actions import TAU, AlmostAction, defect, normalize_sofic_approx
 from .cohomology import F2Cochain, coboundary, zero_cochain
 from .complexes import (
     RootedTree,
@@ -128,10 +128,8 @@ def noise_injector(
     return out, _realized(out, action)
 
 
-def signed_noise_injector(
-    action: AlmostAction, eps, seed: int, tau: str = "tau"
-) -> tuple[AlmostAction, dict[str, Fraction]]:
-    """Noise that commutes with the sign flip, leaving ``tau`` untouched.
+def signed_noise_injector(action: AlmostAction, eps, seed: int) -> tuple[AlmostAction, dict[str, Fraction]]:
+    """Noise that commutes with the sign flip, leaving the central generator ``TAU`` untouched.
 
     The support is a floor(eps*n)-subset of the unsigned points; a uniform
     permutation acts on it and every supported point may flip sign.  Refuses
@@ -139,7 +137,7 @@ def signed_noise_injector(
     """
     if action.space % 2:
         raise PermstabError("need an action on a signed double")
-    out = _noise(action, eps, seed, (tau,), _signed_support_perm)
+    out = _noise(action, eps, seed, (TAU,), _signed_support_perm)
     return out, _realized(out, action)
 
 
@@ -234,13 +232,11 @@ def exact_action_from_int_cocycle(
     return action
 
 
-def sign_twisted_lift(
-    f: AlmostAction, edge_signs: F2Cochain, n: int, tau: str = "tau"
-) -> AlmostAction:
+def sign_twisted_lift(f: AlmostAction, edge_signs: F2Cochain, n: int) -> AlmostAction:
     """Exact lift of an action to the signed double of its first ``n`` points.
 
     The oriented edge xy acts on the double of range(n) as f(xy) with an
-    overall sign twist given by the edge cochain; tau acts as the sign flip.
+    overall sign twist given by the edge cochain; ``TAU`` acts as the sign flip.
     The images of f must preserve range(n), and each edge's two images
     must be mutually inverse there.  The lift is an exact action of the
     extension presentation twisted by the coboundary of ``edge_signs``.
@@ -251,8 +247,8 @@ def sign_twisted_lift(
     phi = coboundary(edge_signs) if x.dim >= 2 else None
     if phi is None:
         raise PermstabError("need a complex with triangles")
-    pres = extension_from_cocycle(x, tree, phi, tau)
-    images = {tau: sign_flip(n)}
+    pres = extension_from_cocycle(tree, phi)
+    images = {TAU: sign_flip(n)}
     points = tuple(range(2 * n))
     shadow = {}  # f's images of range(n), by generator
     for (a, b) in x.cells(1):
@@ -318,7 +314,7 @@ def build_instance(config: ExperimentConfig):
         signs = F2Cochain(x, 1, bits)
     phi = coboundary(signs)
     lift = sign_twisted_lift(f, signs, n)
-    raw = _noise(lift, config.epsilon, config.seed ^ 0xA5A5, ("tau",), _support_perm)
+    raw = _noise(lift, config.epsilon, config.seed ^ 0xA5A5, (TAU,), _support_perm)
     return x, phi, raw, f
 
 
@@ -337,14 +333,14 @@ class RunRow:
 
 def run_pipeline(config: ExperimentConfig) -> tuple[RunRow, ExperimentReport]:
     """normalize -> quotient -> cover -> sign cochain -> distances."""
-    x, phi, raw, f = build_instance(config)
+    _x, phi, raw, f = build_instance(config)
     psi, stage = normalize_sofic_approx(raw)
     if not stage.holds:
         raise BoundViolation(
             f"normalization bound failed at seed {config.seed}, epsilon {config.epsilon},"
             f" fiber {config.fiber}, extra {config.extra}"
         )
-    report = contradiction_experiment(x, phi, psi, f, eps=stage.defect_out)
+    report = contradiction_experiment(phi, psi, f, eps=stage.defect_out)
     row = RunRow(
         config=config,
         eps=report.eps,

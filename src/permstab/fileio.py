@@ -30,8 +30,8 @@ header of the block (of the later block, for a pair).
 from __future__ import annotations
 
 import csv
-import io
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .actions import AlmostAction
 from .cohomology import F2Cochain, cochain_from_support
@@ -321,9 +321,14 @@ def format_decimal(q: Fraction) -> str:
 
 
 def csv_text(header, rows) -> str:
-    """One header line, then one line per row, each ending in ``\\n``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """One header line, then one line per row, each ending in ``\\n``.
+
+    The writer quotes a cell that holds a character of its line terminator.
+    It ends each line in ``\\r\\n``, so a cell holding ``\\r`` is quoted
+    as well as one holding ``\\n``; the ``\\r`` of each ending is dropped.
+    """
+    lines = []  # the writer hands each line, ending included, to one write call
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)

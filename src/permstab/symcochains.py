@@ -122,6 +122,8 @@ class SymCochain:
     values: Mapping[Cell, PartialInj]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise PermstabError(f"n={self.n} must be at least 1")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         expected = set(self.complex.cells(self.degree))
         if set(self.values) != expected:

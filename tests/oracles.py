@@ -148,7 +148,7 @@ def twisted_lift(perm: ErrPerm, n: int, bit: int) -> ErrPerm:
 
 
 
-def stage2_distance(action, tau: str = "tau") -> Fraction:
+def stage2_distance(action) -> Fraction:
     """The largest distance of a stage-1 image from its stage-2 image, both read on the signed double.
 
     Stage 1 makes tau ``fix_to_involution`` of itself.  Stage 2 pairs that
@@ -157,7 +157,7 @@ def stage2_distance(action, tau: str = "tau") -> Fraction:
     -i = 2i+1, and extends every other image by the identity on the padding
     point, where a stage-1 image is undefined.
     """
-    inv = points(fix_to_involution(action.images[tau]))
+    inv = points(fix_to_involution(action.images["tau"]))
     fpf = points(fix_fixed_point_free(from_points(len(inv), inv)))
     label = {}
     for i, (x, y) in enumerate(sorted((x, y) for x, y in fpf.items() if x < y)):
@@ -168,8 +168,8 @@ def stage2_distance(action, tau: str = "tau") -> Fraction:
 
     dist = Fraction(0)
     for g in action.presentation.generators:
-        old = inv if g == tau else points(action.images[g])
-        new = fpf if g == tau else {**{x: x for x in fpf}, **old}
+        old = inv if g == "tau" else points(action.images[g])
+        new = fpf if g == "tau" else {**{x: x for x in fpf}, **old}
         dist = max(dist, hamming(on_double(old), on_double(new)))
     return dist
 
@@ -374,7 +374,7 @@ def good_function_check(f, max_len: int, max_steps: int):
 # -- presentations --------------------------------------------------------------
 
 
-def edge_presentation(x, tree, phi=None, tau: str = "tau"):
+def edge_presentation(x, tree, phi=None):
     """(generators, relations, inverse pairs) of the tree component's edge presentation.
 
     Generators are both orientations of every edge inside the component, in
@@ -391,15 +391,15 @@ def edge_presentation(x, tree, phi=None, tau: str = "tau"):
     pairs = [(edge_gen(a, b), edge_gen(b, a)) for a, b in edges]
     rels = []
     if phi is not None:
-        rels += [((tau, 1), (tau, 1))] + [((tau, 1), (g, 1), (tau, -1), (g, -1)) for g in gens]
+        rels += [(("tau", 1), ("tau", 1))] + [(("tau", 1), (g, 1), ("tau", -1), (g, -1)) for g in gens]
     rels += [((edge_gen(*e), 1),) for a, b in sorted(tree.tree_edges) for e in ((a, b), (b, a))]
     rels += [((edge_gen(a, b), 1), (edge_gen(b, a), 1)) for a, b in edges]
     for a, b, c in x.cells(2):
         if {a, b, c} <= comp:
-            tail = ((tau, 1),) if phi is not None and phi((a, b, c)) else ()
+            tail = (("tau", 1),) if phi is not None and phi((a, b, c)) else ()
             for u, v, w in ((a, b, c), (a, c, b)):
                 rels.append(((edge_gen(u, v), 1), (edge_gen(v, w), 1), (edge_gen(w, u), 1)) + tail)
-    return tuple(gens) + ((tau,) if phi is not None else ()), tuple(rels), tuple(pairs)
+    return tuple(gens) + (("tau",) if phi is not None else ()), tuple(rels), tuple(pairs)
 
 
 # -- gauge searches and corrections ---------------------------------------------

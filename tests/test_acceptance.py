@@ -240,7 +240,7 @@ def test_criterion_09_first_type_triangle_equality():
             x, phi, raw, f = build_instance(config)
             psi, _ = normalize_sofic_approx(raw)
             cov = build_cover(x, f)
-            zeta, types = zeta_cochain(psi, f, cov)
+            zeta, types = zeta_cochain(psi, cov)
             checked, violations = first_type_triangle_check(psi, phi, cov, zeta, types)
             assert violations == []
             total_checked += checked

@@ -137,7 +137,7 @@ def test_perturbation_defect_bound_random():
 
 def extension_pres(n_extra=1):
     gens = tuple(f"g{i}" for i in range(n_extra)) + ("tau",)
-    return extension_relations(Presentation(gens, ()), "tau")
+    return extension_relations(Presentation(gens, ()))
 
 
 def exact_signed_action(n, rng, n_extra=1):
@@ -513,4 +513,4 @@ def test_pipeline_report_is_the_same_with_the_measured_defect_passed_in():
         x, phi, raw, f = build_instance(cfg)
         psi, stage = normalize_sofic_approx(raw)
         assert stage.defect_in != stage.defect_out, cfg
-        assert report == contradiction_experiment(x, phi, psi, f), cfg
+        assert report == contradiction_experiment(phi, psi, f), cfg

@@ -81,9 +81,7 @@ def assert_presentations(x, phis):
         tree = spanning_tree(x, root)
         assert fundamental_group_presentation(x, tree) == Presentation(*oracles.edge_presentation(x, tree))
         for phi in phis:
-            for tau in ("tau", "t"):
-                want = Presentation(*oracles.edge_presentation(x, tree, phi, tau))
-                assert extension_from_cocycle(x, tree, phi, tau) == want
+            assert extension_from_cocycle(tree, phi) == Presentation(*oracles.edge_presentation(x, tree, phi))
 
 
 def test_presentations_match_the_oracle_seeded():
@@ -100,13 +98,11 @@ def test_extension_checks():
     x = boundary_of_simplex(4)  # dim 3: a non-cocycle 2-cochain is rejected
     tree = spanning_tree(x, 0)
     with pytest.raises(PermstabError, match="not a cocycle"):
-        extension_from_cocycle(x, tree, F2Cochain(x, 2, 1))
+        extension_from_cocycle(tree, F2Cochain(x, 2, 1))
     with pytest.raises(PermstabError, match="expected a 2-cochain"):
-        extension_from_cocycle(x, tree, F2Cochain(x, 1, 0))
-    with pytest.raises(PermstabError, match="does not live"):
-        extension_from_cocycle(annulus(), spanning_tree(annulus(), 0), F2Cochain(full_triangle(), 2, 1))
+        extension_from_cocycle(tree, F2Cochain(x, 1, 0))
     good = coboundary(F2Cochain(x, 1, 0b1011))
-    assert extension_from_cocycle(x, tree, good) == Presentation(*oracles.edge_presentation(x, tree, good))
+    assert extension_from_cocycle(tree, good) == Presentation(*oracles.edge_presentation(x, tree, good))
 
 
 cells_on_seven = st.lists(
@@ -227,10 +223,9 @@ text_cells = st.one_of(
 )
 def test_csv_text_reads_back_and_decimals_round_to_twelve_digits(header, rows, q):
     text = csv_text(header, rows)
-    if not any("\r" in str(c) for row in rows for c in row):  # a bare "\r" is written unquoted
-        assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + [[str(c) for c in row] for row in rows]
-        if not any("\n" in str(c) for row in rows for c in row):
-            assert "\r" not in text and text.count("\n") == 1 + len(rows)  # one "\n" ends each line
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + [[str(c) for c in row] for row in rows]
+    if not any(end in str(c) for row in rows for c in row for end in "\r\n"):
+        assert "\r" not in text and text.count("\n") == 1 + len(rows)  # one "\n" ends each line
     # the float of q, rounded half to even to 12 significant digits
     assert Decimal(format_decimal(q)) == TWELVE_DIGITS.plus(Decimal(float(q)))
 
@@ -251,8 +246,9 @@ def csv_family():
         yield header, rows, Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10 ** rng.randint(0, 12)))
 
 
-# sha256 of the writers' bytes below, computed before the oracles replaced the frozen copies
-CSV_FAMILY_SHA256 = "e4b341c5e529005447e313bdbaa961eb8e58dde6a9e49363d993867ce69ae06a"
+# sha256 of the writers' bytes below, computed before the oracles replaced the frozen copies;
+# the family's 76 lines with a cell holding a bare "\r" were re-pinned once that cell became quoted
+CSV_FAMILY_SHA256 = "961cdc510f0849dc9a521235e6b16b1ae4a2072697c6b808093005aee574d14c"
 ROWS_CSV_SHA256 = "395abd09240f98c34fbf401d624e64c4c12feb5f7f5375a0abca0fa6f93e122b"
 
 

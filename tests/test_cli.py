@@ -418,6 +418,18 @@ def test_cli_action_defect_and_repair(tmp_path, capsys):
     assert "holds,true" in report.read_text()
 
 
+def test_cli_action_repair_needs_the_central_generator_tau(tmp_path, capsys):
+    pres = Presentation(("g0", "t"), ((("g0", 1), ("g0", 1)),))
+    (tmp_path / "p.pres").write_text(fileio.dump_presentation(pres))
+    act = AlmostAction(pres, 4, {"g0": ErrPerm.from_cycle((0, 1), 4), "t": ErrPerm.from_cycle((0, 1), 4)})
+    (tmp_path / "a.act").write_text(fileio.dump_action(act))
+    args = ["action", "repair", str(tmp_path / "p.pres"), str(tmp_path / "a.act")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: distinguished generator 'tau' missing\n"
+    assert main(args + ["--tau", "t"]) == 1  # the name is fixed: no flag renames it
+    assert "unrecognized arguments: --tau t" in capsys.readouterr().err
+
+
 def test_cli_cover_build(tmp_path):
     from test_covers import hexagon_cover_action
 

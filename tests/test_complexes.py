@@ -165,7 +165,7 @@ def test_link_examples():
     assert lk2.cells(0) == ((2,), (3,)) and lk2.dim == 0
     empty = link(t, (0, 1, 2))
     assert empty is EMPTY_COMPLEX and empty.dim == -1 and empty.is_pure
-    assert empty.vertices == () and empty.vertex_count == 0 and empty.neighbors(0) == ()
+    assert empty.vertices == () and empty.neighbors(0) == ()
     assert empty.facets() == [] and empty.cells(0) == ()
 
 

@@ -184,7 +184,7 @@ def check_against_oracle(x, m, seed):
         assert pull_back_cocycle(phi, cov) == naive_pull_back(phi, cov)
 
     psi = random_signed_psi(x, action, rng.randint(1, m), rng)
-    zeta, types = zeta_cochain(psi, action, cov)
+    zeta, types = zeta_cochain(psi, cov)
     assert (zeta, types) == naive_zeta(psi, cov)
     assert list(types) == list(cov.total.cells(1))
     if x.dim >= 2:
@@ -217,7 +217,7 @@ def test_cover_of_sweep_instances_matches_naive_oracle():
         total, vertex_id, _ = naive_cover(x, f)
         assert cov.total.faces_by_dim == total.faces_by_dim and cov.vertex_id == vertex_id
         psi, _ = normalize_sofic_approx(raw)
-        zeta, types = zeta_cochain(psi, f, cov)
+        zeta, types = zeta_cochain(psi, cov)
         assert (zeta, types) == naive_zeta(psi, cov)
         assert pull_back_cocycle(phi, cov) == naive_pull_back(phi, cov)
         assert list(_cover_triangles(psi, phi, cov, types)) == naive_triangles(psi, phi, cov, types)
@@ -235,10 +235,10 @@ def test_a_wrong_sign_cochain_is_refused_with_the_naive_count(monkeypatch):
         x, phi, raw, f = build_instance(ExperimentConfig(seed=seed, epsilon=Fraction(eps), fiber=12, extra=extra))
         psi, _ = normalize_sofic_approx(raw)
         cov = build_cover(x, f)
-        zeta, types = wrong_zeta(psi, f, cov)
+        zeta, types = wrong_zeta(psi, cov)
         _, violations = naive_first_type_check(psi, phi, cov, zeta, types)
         with pytest.raises(BoundViolation, match=f"^{len(violations)} qualifying triangles disagree$"):
-            contradiction_experiment(x, phi, psi, f)
+            contradiction_experiment(phi, psi, f)
         assert violations
 
 
@@ -279,7 +279,7 @@ def test_walkers_are_reached_through_the_module(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(covers, name, spy)
-    contradiction_experiment(x, phi, psi, f)
+    contradiction_experiment(phi, psi, f)
     assert set(calls) == {"build_cover", "pull_back_cocycle", "zeta_cochain", "_cover_triangles"}
 
 
@@ -310,5 +310,5 @@ def test_experiment_reports_are_pinned():
     for config in report_family():
         x, phi, raw, f = build_instance(config)
         psi, _ = normalize_sofic_approx(raw)
-        digest.update(repr(contradiction_experiment(x, phi, psi, f)).encode())
+        digest.update(repr(contradiction_experiment(phi, psi, f)).encode())
     assert digest.hexdigest() == EXPERIMENT_REPORT_SHA256

@@ -218,7 +218,7 @@ def test_zeta_all_positive_lift():
     x, phi, raw, f = annulus_instance(seed=5, eps=0, mode="zero")
     assert phi.is_zero and defect(raw) == 0
     cov = build_cover(x, f)
-    zeta, types = zeta_cochain(raw, f, cov)
+    zeta, types = zeta_cochain(raw, cov)
     assert zeta.is_zero
     assert set(types.values()) == {"first"}
 
@@ -226,7 +226,7 @@ def test_zeta_all_positive_lift():
 def test_zeta_flipped_generator_marks_lifts():
     x, phi, raw, f = annulus_instance(seed=6, eps=0, mode="coboundary")
     cov = build_cover(x, f)
-    zeta, types = zeta_cochain(raw, f, cov)
+    zeta, types = zeta_cochain(raw, cov)
     assert set(types.values()) == {"first"}
     # edges whose sign twist is 1 get zeta = 1 on every lift
     signs = {}
@@ -241,7 +241,7 @@ def test_zeta_second_type_outside_ground_set():
     x, phi, raw, f = annulus_instance(seed=7, eps=0, extra=2)
     cov = build_cover(x, f)
     n = raw.space // 2
-    zeta, types = zeta_cochain(raw, f, cov)
+    zeta, types = zeta_cochain(raw, cov)
     seconds = [e for e, t in types.items() if t == "second"]
     assert seconds
     for (va, vb) in seconds:
@@ -257,14 +257,14 @@ def test_first_type_triangle_equality_holds():
 
     psi, _ = normalize_sofic_approx(raw)
     cov = build_cover(x, f)
-    zeta, types = zeta_cochain(psi, f, cov)
+    zeta, types = zeta_cochain(psi, cov)
     checked, violations = first_type_triangle_check(psi, phi, cov, zeta, types)
     assert checked > 0 and violations == []
 
 
 def test_contradiction_experiment_exact_inputs():
     x, phi, raw, f = annulus_instance(seed=9, eps=0)
-    report = contradiction_experiment(x, phi, raw, f)
+    report = contradiction_experiment(phi, raw, f)
     assert report.eps == 0 and report.rho == 0
     assert report.dw_total == 0 and report.dw_best == 0
     assert report.holds
@@ -276,7 +276,7 @@ def test_contradiction_experiment_noisy_bound():
     for seed in range(5):
         x, phi, raw, f = annulus_instance(seed=20 + seed, eps="1/8", fiber=12)
         psi, _ = normalize_sofic_approx(raw)
-        report = contradiction_experiment(x, phi, psi, f)
+        report = contradiction_experiment(phi, psi, f)
         assert report.dw_best <= report.bound
         assert report.dw_total <= report.event1 + report.event2
         assert min(dw for _, _, dw in report.per_component) == report.dw_best
@@ -289,7 +289,7 @@ def test_extension_relation_counts():
     x = boundary_of_simplex(3)
     tree = spanning_tree(x, 0)
     phi = cochain_from_support(x, 2, [(0, 1, 2), (0, 1, 3)])
-    pres = extension_from_cocycle(x, tree, phi)
+    pres = extension_from_cocycle(tree, phi)
     n_edges = x.n_cells(1)
     n_tree = len(tree.tree_edges)
     n_tri = x.n_cells(2)
@@ -300,13 +300,13 @@ def test_extension_relation_counts():
 def test_extension_split_and_twisted():
     t = full_triangle()
     tree = spanning_tree(t, 0)
-    split = extension_from_cocycle(t, tree, zero_cochain(t, 2))
+    split = extension_from_cocycle(tree, zero_cochain(t, 2))
     assert all(
         not (len(r) == 4 and any(s == "tau" for s, _ in r) and len({s for s, _ in r}) == 4)
         for r in split.relations
     )
     phi = cochain_from_support(t, 2, [(0, 1, 2)])
-    twisted = extension_from_cocycle(t, tree, phi)
+    twisted = extension_from_cocycle(tree, phi)
     toggled = [
         r for r in twisted.relations if len(r) == 4 and r[3][0] == "tau" and r[0][0] != "tau"
     ]

@@ -90,6 +90,17 @@ def test_orientation_carries_inverse():
     assert g.value_on((1, 2, 0)) == tau  # even permutation of the orientation
 
 
+def test_a_cochain_on_no_indices_is_refused():
+    """The distance is a share of the indices 1..n, so n is at least 1, as the loader says."""
+    x = full_triangle()
+    for n in (0, -1):
+        with pytest.raises(PermstabError, match=f"^n={n} must be at least 1$"):
+            SymCochain(x, 1, n, {c: PartialInj(n, ()) for c in x.cells(1)} if n == 0 else {})
+    with pytest.raises(PermstabError, match="^n=0 must be at least 1$"):
+        identity_cochain(x, 1, 0)
+    assert identity_cochain(x, 1, 1).n == 1
+
+
 def test_value_on_a_cell_outside_the_complex_is_refused():
     f = identity_cochain(annulus(), 1, 3)
     for oriented in ((0, 5), (5, 0), (0,), (0, 1, 2)):

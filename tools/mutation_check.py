@@ -343,9 +343,23 @@ MUTATIONS = (
     (
         "tau-squared-dropped",
         PKG + "actions.py",
-        "return [((tau, 1), (tau, 1))] + [",
+        "return [((TAU, 1), (TAU, 1))] + [",
         "return [",
         ["tests/test_builders.py::test_presentations_match_the_oracle_seeded"],
+    ),
+    (
+        "extension-without-tau-accepted",
+        PKG + "actions.py",
+        "    if TAU not in presentation.generators:\n",
+        "    if False:\n",
+        ["tests/test_cli.py::test_cli_action_repair_needs_the_central_generator_tau"],
+    ),
+    (
+        "repair-tau-flag-accepted",
+        PKG + "cli.py",
+        '    q.set_defaults(func=cmd_action_repair)\n',
+        '    q.add_argument("--tau")\n    q.set_defaults(func=cmd_action_repair)\n',
+        ["tests/test_cli.py::test_cli_action_repair_needs_the_central_generator_tau"],
     ),
     # boundary checks: fraction arguments, the sym index count, the normalization bound
     (
@@ -361,6 +375,13 @@ MUTATIONS = (
         "if n < 1:",
         "if n < 0:",
         ["tests/test_cli.py::test_malformed_headers_raise_format_error"],
+    ),
+    (
+        "sym-cochain-accepts-n-zero",
+        PKG + "symcochains.py",
+        "        if self.n < 1:\n",
+        "        if False:\n",
+        ["tests/test_sym.py::test_a_cochain_on_no_indices_is_refused"],
     ),
     (
         "pipeline-ignores-normalization-bound",
@@ -588,9 +609,19 @@ MUTATIONS = (
     (
         "csv-crlf",
         PKG + "fileio.py",
-        'lineterminator="\\n"',
-        'lineterminator="\\r\\n"',
+        'line[:-2] + "\\n"',
+        "line",
         ["tests/test_builders.py::test_rows_to_csv_is_pinned", "tests/test_builders.py::test_csv_writers_are_pinned"],
+    ),
+    (
+        "csv-cr-unquoted",
+        PKG + "fileio.py",
+        'lineterminator="\\r\\n"',
+        'lineterminator="\\n\\n"',
+        [
+            "tests/test_builders.py::test_csv_text_reads_back_and_decimals_round_to_twelve_digits",
+            "tests/test_builders.py::test_csv_writers_are_pinned",
+        ],
     ),
     # the naive oracles: the rewriting relation, walk values, the audit, the searches and the distance
     (
