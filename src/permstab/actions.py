@@ -279,7 +279,7 @@ def normalize_sofic_approx(action: AlmostAction) -> tuple[AlmostAction, StageRep
 
 
 def is_sign_commuting(action: AlmostAction) -> bool:
-    if action.space % 2 != 0:
+    if action.space % 2 != 0 or TAU not in action.generators:
         return False
     if action.image(TAU) != sign_flip(action.space // 2):
         return False
@@ -306,6 +306,8 @@ def quotient_presentation(presentation: Presentation) -> Presentation:
 
 def induced_quotient_action(action: AlmostAction) -> AlmostAction:
     """Project a sign-commuting action to the unsigned points."""
+    if TAU not in action.generators:
+        raise PermstabError(f"distinguished generator {TAU!r} missing")
     if action.space % 2 != 0:
         raise PermstabError("need an action on a signed double")
     n = action.space // 2

@@ -16,7 +16,7 @@ from .actions import defect, normalize_sofic_approx, separation_report
 from .complexes import spanning_tree, fundamental_group_presentation
 from .covers import build_cover, contradiction_experiment, extension_from_cocycle
 from .errors import BoundViolation, PermstabError
-from .experiments import ExperimentConfig, run_pipeline, rows_to_csv, sweep
+from .experiments import rows_to_csv, sweep
 from .fileio import csv_text, format_decimal, format_fraction
 from .symcochains import global_deletion, good_function_check, single_edge_correction, sym_delta_weight
 
@@ -135,7 +135,7 @@ def cmd_action_repair(args) -> int:
         ["bound", format_fraction(report.bound), format_decimal(report.bound)],
         ["holds", "true" if report.holds else "false", ""],
     ]
-    _write(args.report, csv_text(["quantity", "value", "value_dec"], rows))
+    _write(args.csv, csv_text(["quantity", "value", "value_dec"], rows))
     if not report.holds:
         raise BoundViolation("stage report bound failed")
     return 0
@@ -193,9 +193,6 @@ def cmd_cover_experiment(args) -> int:
 
 def cmd_sym_delta(args) -> int:
     f = fileio.load_sym_cochain(_read(args.f))
-    x = fileio.load_complex(_read(args.complex))
-    if x.faces_by_dim != f.complex.faces_by_dim:
-        raise PermstabError("the cochain was saved over a different complex")
     plain, robust = sym_delta_weight(f, strict=args.strict)
     rows = [
         ["plain", format_fraction(plain), format_decimal(plain)],
@@ -223,7 +220,7 @@ def cmd_sym_delete(args) -> int:
         ["count_bound", report.count_bound, ""],
         ["holds", "true" if report.holds else "false", ""],
     ]
-    _write(args.report, csv_text(["quantity", "value", "value_dec"], rows))
+    _write(args.csv, csv_text(["quantity", "value", "value_dec"], rows))
     return 0
 
 
@@ -246,19 +243,6 @@ def cmd_sym_good_check(args) -> int:
 
 def _parse_fractions(text: str) -> list[Fraction]:
     return [_fraction(tok) for tok in text.split(",") if tok.strip()]
-
-
-def cmd_experiment_run(args) -> int:
-    config = ExperimentConfig(
-        seed=args.seed,
-        epsilon=_fraction(args.epsilon),
-        fiber=args.fiber,
-        extra=args.extra,
-        cocycle_mode=args.mode,
-    )
-    row, _report = run_pipeline(config)
-    _write(args.csv, rows_to_csv([row]))
-    return 0
 
 
 def cmd_experiment_sweep(args) -> int:
@@ -316,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("presentation")
     q.add_argument("action")
     q.add_argument("--out", default=None)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_action_repair)
     q = ps.add_parser("separation")
     q.add_argument("presentation")
@@ -341,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sym", help="partial-permutation cochains")
     ps = p.add_subparsers(dest="sub", required=True)
     q = ps.add_parser("delta")
-    q.add_argument("complex")
     q.add_argument("f")
     g = q.add_mutually_exclusive_group()
     g.add_argument("--strict", action="store_true")
@@ -357,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ps.add_parser("delete")
     q.add_argument("f")
     q.add_argument("--out", default=None)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=cmd_sym_delete)
     q = ps.add_parser("good-check")
     q.add_argument("f")
@@ -367,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="seeded end-to-end pipelines")
     ps = p.add_subparsers(dest="sub", required=True)
-    q = ps.add_parser("run")
-    q.add_argument("--epsilon", default="0")
-    q.add_argument("--fiber", type=int, default=6)
-    q.add_argument("--extra", type=int, default=0)
-    q.add_argument("--mode", default="coboundary", choices=["coboundary", "zero"])
-    q.set_defaults(func=cmd_experiment_run)
     q = ps.add_parser("sweep")
     q.add_argument("--epsilons", default="0,1/100,1/50,1/20,1/10")
     q.add_argument("--runs", type=int, default=4, help="seeds per epsilon")

@@ -37,8 +37,6 @@ class F2Cochain:
             raise PermstabError("cochains live on different spaces")
         return F2Cochain(self.complex, self.degree, self.bits ^ other.bits)
 
-    __add__ = __xor__
-
     def __call__(self, cell) -> int:
         return (self.bits >> self.complex.cell_position(cell)) & 1
 
@@ -110,10 +108,6 @@ def weighted_norm(alpha: F2Cochain) -> Fraction:
     return Fraction(sum(nums[i] for i in _set_bits(alpha.bits)), den)
 
 
-def distance(alpha: F2Cochain, beta: F2Cochain) -> Fraction:
-    return weighted_norm(alpha ^ beta)
-
-
 @dataclass(frozen=True)
 class F2Subspace:
     """A subspace of C^k given by a reduced-echelon bitset basis."""
@@ -143,9 +137,6 @@ def cocycle_space(x: SimplicialComplex, k: int) -> F2Subspace:
     """Kernel of the degree-k coboundary map; all of C^k in the top dimension."""
     if not 0 <= k <= x.dim:
         raise PermstabError(f"no cells in dimension {k}")
-    if k == x.dim:
-        rows = [1 << i for i in range(x.n_cells(k))]
-        return F2Subspace.from_rows(x, k, rows)
     kernel, _ = gf2.kernel_and_complement(delta_columns(x, k))
     return F2Subspace.from_rows(x, k, kernel)
 

@@ -2,8 +2,7 @@
 
 Cells are strictly increasing tuples of vertex indices.  The canonical order
 of ``X(k)`` is lexicographic; cochain bit vectors elsewhere in the package
-index cells in this order.  Complexes are immutable after construction and
-safe to share across workers.
+index cells in this order.  Complexes are immutable after construction.
 """
 
 from __future__ import annotations

@@ -87,9 +87,6 @@ class ErrPerm:
     def apply(self, x: int) -> int:
         return self._line[x] if 0 <= x < self.size else ERROR
 
-    def __call__(self, x: int) -> int:
-        return self.apply(x)
-
     @property
     def is_total(self) -> bool:
         return len(self.domain) == self.size

@@ -69,10 +69,6 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def choice(self, xs):
-        xs = list(xs)
-        return xs[self.below(len(xs))]
-
     def spawn(self, tag) -> "SplitMix64":
         """Derive an independent child stream from a stable tag."""
         salt = fnv1a64(repr(tag).encode("utf8"))

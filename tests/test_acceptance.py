@@ -219,13 +219,13 @@ def test_criterion_08_end_to_end_inequality(monkeypatch):
         assert row.holds and row.dw <= row.eps + 4 * row.rho
     assert any(row.eps > 0 for row in rows)  # the sweep exercises genuinely noisy runs
     # a bound violation must surface as exit code 2
-    from permstab import cli
+    from permstab import cli, experiments
 
     def boom(config):
         raise BoundViolation("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "run_pipeline", boom)
-    assert cli.main(["experiment", "run", "--epsilon", "0"]) == 2
+    monkeypatch.setattr(experiments, "run_pipeline", boom)
+    assert cli.main(["experiment", "sweep", "--epsilons", "0", "--runs", "1"]) == 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     report("8 (end-to-end distance inequality)", t0)

@@ -245,6 +245,13 @@ def test_induced_quotient_rejects_non_commuting():
         induced_quotient_action(act)
 
 
+def test_a_missing_tau_is_refused_or_not_sign_commuting():
+    action = AlmostAction(Presentation(("g",), ()), 2, {"g": ErrPerm.identity(2)})
+    assert is_sign_commuting(action) is False
+    with pytest.raises(PermstabError, match="^distinguished generator 'tau' missing$"):
+        induced_quotient_action(action)
+
+
 def test_quotient_defect_never_exceeds_lift():
     from permstab.experiments import signed_noise_injector
 

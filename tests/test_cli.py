@@ -19,6 +19,7 @@ from permstab.complexes import (
     spanning_tree,
 )
 from permstab.errors import FormatError
+from permstab.experiments import ExperimentConfig, build_instance, rows_to_csv, run_pipeline
 from permstab.perms import ErrPerm
 from permstab.symcochains import PartialInj, SymCochain
 
@@ -409,13 +410,13 @@ def test_cli_action_defect_and_repair(tmp_path, capsys):
     (tmp_path / "a.act").write_text(fileio.dump_action(act))
     assert main(["action", "defect", str(tmp_path / "p.pres"), str(tmp_path / "a.act")]) == 0
     assert "defect 0/1" in capsys.readouterr().out
-    report = tmp_path / "stages.csv"
-    code = main([
-        "action", "repair", str(tmp_path / "p.pres"), str(tmp_path / "a.act"),
-        "--out", str(tmp_path / "fixed.act"), "--report", str(report),
-    ])
-    assert code == 0
-    assert "holds,true" in report.read_text()
+    repair = ["action", "repair", str(tmp_path / "p.pres"), str(tmp_path / "a.act"), "--out", str(tmp_path / "fixed.act")]
+    assert main(repair) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("quantity,value,value_dec\n") and "holds,true" in stdout
+    report = tmp_path / "stages.csv"  # the global --csv takes the report off stdout
+    assert main(["--csv", str(report)] + repair) == 0
+    assert report.read_text() == stdout and capsys.readouterr().out == ""
 
 
 def test_cli_action_repair_needs_the_central_generator_tau(tmp_path, capsys):
@@ -443,36 +444,81 @@ def test_cli_cover_build(tmp_path):
     assert "fiber 2" in text and text.count("vertex ") == 6
 
 
-def test_cli_sym_delta_and_delete(tmp_path):
+def test_cli_sym_delta_and_delete(tmp_path, capsys):
     x = full_triangle()
     values = {c: PartialInj.identity(4) for c in x.cells(1)}
     values[(0, 1)] = PartialInj(4, (1, 0, 2, 3))
     f = SymCochain(x, 1, 4, values)
     (tmp_path / "f.sym").write_text(fileio.dump_sym_cochain(f))
-    (tmp_path / "tri.cx").write_text(fileio.dump_complex(x))
     out = tmp_path / "delta.csv"
-    assert main(["--csv", str(out), "sym", "delta", str(tmp_path / "tri.cx"), str(tmp_path / "f.sym")]) == 0
+    assert main(["--csv", str(out), "sym", "delta", str(tmp_path / "f.sym")]) == 0
     assert "robust,1/2," in out.read_text()
-    rep = tmp_path / "del.csv"
-    code = main([
-        "sym", "delete", str(tmp_path / "f.sym"),
-        "--out", str(tmp_path / "g.sym"), "--report", str(rep),
-    ])
-    assert code == 0
-    assert "deleted,2," in rep.read_text()
+    delete = ["sym", "delete", str(tmp_path / "f.sym"), "--out", str(tmp_path / "g.sym")]
+    assert main(delete) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("quantity,value,value_dec\n") and "deleted,2," in stdout
+    report = tmp_path / "del.csv"  # the global --csv takes the report off stdout
+    assert main(["--csv", str(report)] + delete) == 0
+    assert report.read_text() == stdout and capsys.readouterr().out == ""
     g = fileio.load_sym_cochain((tmp_path / "g.sym").read_text())
     assert g.values[(0, 1)].apply(0) is None
 
 
-def test_cli_experiment_run_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["experiment", "run", "--epsilon", "1/20", "--fiber", "10"]
-    assert main(["--seed", "5", "--csv", str(a)] + args) == 0
-    assert main(["--seed", "5", "--csv", str(b)] + args) == 0
-    assert a.read_bytes() == b.read_bytes()
-    header, row = a.read_text().strip().splitlines()
+def test_cli_sym_delta_reads_the_complex_from_the_cochain_file(tmp_path, capsys):
+    """The bytes the two-argument form ``sym delta COMPLEX F`` printed for the same cochain."""
+    x = full_triangle()
+    values = {c: PartialInj.identity(3) for c in x.cells(1)}
+    values[(0, 1)] = PartialInj(3, (1, None, 2))
+    (tmp_path / "f.sym").write_text(fileio.dump_sym_cochain(SymCochain(x, 1, 3, values)))
+    expected = {
+        "--lenient": "statistic,value,value_dec\nplain,1/1,1\nrobust,1/3,0.333333333333\n",
+        "--strict": "statistic,value,value_dec\nplain,1/1,1\nrobust,2/3,0.666666666667\n",
+    }
+    for flag, text in expected.items():
+        assert main(["sym", "delta", str(tmp_path / "f.sym"), flag]) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_cli_retired_command_forms_are_refused(tmp_path, capsys):
+    """One path per job: ``experiment run``, ``--report`` and a complex beside the cochain are gone."""
+    x = full_triangle()
+    (tmp_path / "tri.cx").write_text(fileio.dump_complex(x))
+    f = SymCochain(x, 1, 2, {c: PartialInj.identity(2) for c in x.cells(1)})
+    (tmp_path / "f.sym").write_text(fileio.dump_sym_cochain(f))
+    pres = Presentation(("g0", "tau"), ())
+    (tmp_path / "p.pres").write_text(fileio.dump_presentation(pres))
+    act = AlmostAction(pres, 2, {"g0": ErrPerm.identity(2), "tau": ErrPerm.from_cycle((0, 1), 2)})
+    (tmp_path / "a.act").write_text(fileio.dump_action(act))
+    retired = [
+        (["experiment", "run"], "invalid choice: 'run'"),
+        (["action", "repair", str(tmp_path / "p.pres"), str(tmp_path / "a.act"), "--report", "r.csv"],
+         "unrecognized arguments: --report r.csv"),
+        (["sym", "delete", str(tmp_path / "f.sym"), "--report", "r.csv"], "unrecognized arguments: --report r.csv"),
+        (["sym", "delta", str(tmp_path / "tri.cx"), str(tmp_path / "f.sym")], "unrecognized arguments: "),
+    ]
+    for args, message in retired:
+        assert main(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, args
+
+
+@pytest.mark.parametrize(
+    "seed, epsilon, fiber, extra, mode",
+    [(5, "1/20", 10, 0, "coboundary"), (7, "1/10", 8, 2, "zero"), (7, "0", 6, 1, "coboundary")],
+)
+def test_cli_sweep_of_one_run_is_the_pipeline_row(tmp_path, capsys, seed, epsilon, fiber, extra, mode):
+    """A single seeded run has one CLI path: ``experiment sweep --runs 1``."""
+    options = ["--fiber", str(fiber), "--extra", str(extra), "--mode", mode]
+    out = tmp_path / "run.csv"
+    args = ["--seed", str(seed), "--csv", str(out), "experiment", "sweep", "--epsilons", epsilon, "--runs", "1"]
+    assert main(args + options) == 0
+    config = ExperimentConfig(seed=seed, epsilon=Fraction(epsilon), fiber=fiber, extra=extra, cocycle_mode=mode)
+    assert out.read_text() == rows_to_csv([run_pipeline(config)[0]])
+    header, row = out.read_text().strip().splitlines()
     assert header.startswith("epsilon_nominal,seed,epsilon")
     assert row.split(",")[-1] == "true"
+    assert main(["--seed", str(seed), "experiment", "run", "--epsilon", epsilon] + options) == 1
+    assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 def test_cli_experiment_sweep_bound_columns(tmp_path):
@@ -504,7 +550,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_fractions = [  # a fraction argument that does not parse is an input error, not a traceback
         ["sym", "correct-edge", str(f), "0", "1", "--eta1", "abc"],
         ["sym", "correct-edge", str(f), "0", "1", "--eta1", "1/0"],
-        ["experiment", "run", "--epsilon", "x"],
         ["experiment", "sweep", "--epsilons", "0,x"],
     ]
     for args in bad_fractions:
@@ -513,8 +558,6 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_cover_experiment(tmp_path):
-    from permstab.experiments import ExperimentConfig, build_instance
-
     x, phi, raw, f = build_instance(ExperimentConfig(seed=4, epsilon=Fraction(0)))
     (tmp_path / "x.cx").write_text(fileio.dump_complex(x))
     (tmp_path / "phi.coch").write_text(fileio.dump_cochain(phi))

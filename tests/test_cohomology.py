@@ -148,6 +148,18 @@ def test_space_dimensions():
     assert cohomology_dim(rp, 1) == 1
 
 
+def test_top_cocycle_space_is_all_of_the_cochains():
+    """No (k+1)-cells above the top dimension: Z^k is C^k, with the unit vectors as reduced basis."""
+    rng = SplitMix64(23)
+    pool = [boundary_of_simplex(3), boundary_of_simplex(4), full_triangle(), hollow_polygon(5)]
+    pool += [annulus(), projective_plane_six()] + [random_pure_complex(rng) for _ in range(6)]
+    for x in pool:
+        n = x.n_cells(x.dim)
+        top = cocycle_space(x, x.dim)
+        assert top.basis == tuple(1 << i for i in range(n))
+        assert top.pivots == tuple(range(n))
+
+
 def test_coboundaries_inside_cocycles():
     rng = SplitMix64(17)
     for _ in range(6):

@@ -361,6 +361,76 @@ MUTATIONS = (
         '    q.add_argument("--tau")\n    q.set_defaults(func=cmd_action_repair)\n',
         ["tests/test_cli.py::test_cli_action_repair_needs_the_central_generator_tau"],
     ),
+    (
+        "quotient-without-tau-unrefused",
+        PKG + "actions.py",
+        "    if TAU not in action.generators:\n        raise PermstabError(f\"distinguished generator {TAU!r} missing\")\n    if action.space % 2 != 0:\n        raise",
+        "    if action.space % 2 != 0:\n        raise",
+        ["tests/test_actions.py::test_a_missing_tau_is_refused_or_not_sign_commuting"],
+    ),
+    (
+        "sign-commuting-without-tau-unchecked",
+        PKG + "actions.py",
+        "if action.space % 2 != 0 or TAU not in action.generators:",
+        "if action.space % 2 != 0:",
+        ["tests/test_actions.py::test_a_missing_tau_is_refused_or_not_sign_commuting"],
+    ),
+    # cli: one path per job, every CSV to --csv
+    (
+        "repair-report-ignores-csv",
+        PKG + "cli.py",
+        '        ["holds", "true" if report.holds else "false", ""],\n    ]\n    _write(args.csv, csv_text(["quantity", "value", "value_dec"], rows))\n    if not',
+        '        ["holds", "true" if report.holds else "false", ""],\n    ]\n    _write(None, csv_text(["quantity", "value", "value_dec"], rows))\n    if not',
+        ["tests/test_cli.py::test_cli_action_defect_and_repair"],
+    ),
+    (
+        "delete-report-ignores-csv",
+        PKG + "cli.py",
+        '        ["holds", "true" if report.holds else "false", ""],\n    ]\n    _write(args.csv, csv_text(["quantity", "value", "value_dec"], rows))\n    return 0',
+        '        ["holds", "true" if report.holds else "false", ""],\n    ]\n    _write(None, csv_text(["quantity", "value", "value_dec"], rows))\n    return 0',
+        ["tests/test_cli.py::test_cli_sym_delta_and_delete"],
+    ),
+    (
+        "repair-report-flag-restored",
+        PKG + "cli.py",
+        '    q.add_argument("--out", default=None)\n    q.set_defaults(func=cmd_action_repair)\n',
+        '    q.add_argument("--out", default=None)\n    q.add_argument("--report")\n    q.set_defaults(func=cmd_action_repair)\n',
+        ["tests/test_cli.py::test_cli_retired_command_forms_are_refused"],
+    ),
+    (
+        "delete-report-flag-restored",
+        PKG + "cli.py",
+        '    q.add_argument("--out", default=None)\n    q.set_defaults(func=cmd_sym_delete)\n',
+        '    q.add_argument("--out", default=None)\n    q.add_argument("--report")\n    q.set_defaults(func=cmd_sym_delete)\n',
+        ["tests/test_cli.py::test_cli_retired_command_forms_are_refused"],
+    ),
+    (
+        "delta-complex-positional-restored",
+        PKG + "cli.py",
+        '    q = ps.add_parser("delta")\n',
+        '    q = ps.add_parser("delta")\n    q.add_argument("complex")\n',
+        [
+            "tests/test_cli.py::test_cli_sym_delta_reads_the_complex_from_the_cochain_file",
+            "tests/test_cli.py::test_cli_retired_command_forms_are_refused",
+        ],
+    ),
+    (
+        "experiment-run-restored-as-sweep",
+        PKG + "cli.py",
+        '    q = ps.add_parser("sweep")\n',
+        '    q = ps.add_parser("sweep", aliases=["run"])\n',
+        [
+            "tests/test_cli.py::test_cli_retired_command_forms_are_refused",
+            "tests/test_cli.py::test_cli_sweep_of_one_run_is_the_pipeline_row",
+        ],
+    ),
+    (
+        "sweep-seeds-offset",
+        PKG + "cli.py",
+        "[args.seed + i for i in range(args.runs)]",
+        "[args.seed + i + 1 for i in range(args.runs)]",
+        ["tests/test_cli.py::test_cli_sweep_of_one_run_is_the_pipeline_row"],
+    ),
     # boundary checks: fraction arguments, the sym index count, the normalization bound
     (
         "fraction-division-by-zero-escapes",
